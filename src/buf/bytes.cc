@@ -58,15 +58,23 @@ StatsSnapshot SnapshotStats() {
   return out;
 }
 
-Bytes::Chunk::Chunk(std::string s)
-    : str(std::move(s)),
-      data(reinterpret_cast<const std::uint8_t*>(str.data())),
-      size(str.size()) {
+Bytes::Chunk::Chunk(std::string s) : owner(std::move(s)) {
+  const auto& str = std::get<std::string>(owner);
+  data = reinterpret_cast<const std::uint8_t*>(str.data());
+  size = str.size();
   stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 
-Bytes::Chunk::Chunk(std::vector<std::uint8_t> v)
-    : vec(std::move(v)), data(vec.data()), size(vec.size()) {
+Bytes::Chunk::Chunk(std::vector<std::uint8_t> v) : owner(std::move(v)) {
+  const auto& vec = std::get<std::vector<std::uint8_t>>(owner);
+  data = vec.data();
+  size = vec.size();
+  stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
+}
+
+Bytes::Chunk::Chunk(std::unique_ptr<std::uint8_t[]> raw, std::size_t n)
+    : owner(std::move(raw)), size(n) {
+  data = std::get<std::unique_ptr<std::uint8_t[]>>(owner).get();
   stats().chunks_allocated.fetch_add(1, std::memory_order_relaxed);
 }
 

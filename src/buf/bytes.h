@@ -11,7 +11,9 @@
 //    (reading all blocks of one installed file yields a flat view again);
 //  * `FromString`/`FromVector` take ownership of an existing allocation
 //    (the serde `Writer` hands its buffer over this way — see
-//    `Writer::TakeBytes`), `Copy` is the one-allocation deep copy.
+//    `Writer::TakeBytes`), `Copy` is the one-allocation deep copy, and
+//    `Generate` writes a fresh chunk exactly once (no zero-fill), for
+//    payloads that are computed rather than copied.
 //
 // Immutability + refcounting is all the lifetime machinery the simulator
 // needs: simulated processes are cooperatively scheduled fibers (or
@@ -32,6 +34,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
@@ -63,6 +66,16 @@ class Bytes {
   /// Take ownership of an existing allocation — no copy.
   [[nodiscard]] static Bytes FromString(std::string&& s);
   [[nodiscard]] static Bytes FromVector(std::vector<std::uint8_t>&& v);
+  /// One fresh chunk of `size` bytes, left uninitialized and handed to
+  /// `fill(std::uint8_t* out)`, which must write all of it. The payload is
+  /// produced, not copied, so nothing is counted as a copy.
+  template <typename Fill>
+  [[nodiscard]] static Bytes Generate(std::size_t size, Fill&& fill) {
+    if (size == 0) return {};
+    auto raw = std::make_unique_for_overwrite<std::uint8_t[]>(size);
+    fill(raw.get());
+    return FromChunk(std::make_shared<const Chunk>(std::move(raw), size));
+  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -113,13 +126,15 @@ class Bytes {
   friend bool operator!=(const Bytes& a, const Bytes& b) { return !(a == b); }
 
  private:
-  /// Refcounted immutable storage. Exactly one of `str`/`vec` owns the
-  /// payload; `data`/`size` point into it.
+  /// Refcounted immutable storage. `owner` holds the payload in whichever
+  /// form it arrived; `data`/`size` point into it.
   struct Chunk {
     explicit Chunk(std::string s);
     explicit Chunk(std::vector<std::uint8_t> v);
-    std::string str;
-    std::vector<std::uint8_t> vec;
+    Chunk(std::unique_ptr<std::uint8_t[]> raw, std::size_t n);
+    std::variant<std::string, std::vector<std::uint8_t>,
+                 std::unique_ptr<std::uint8_t[]>>
+        owner;
     const std::uint8_t* data = nullptr;
     std::size_t size = 0;
   };

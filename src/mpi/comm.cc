@@ -57,8 +57,11 @@ void Comm::ChargeCombine(std::size_t elements) {
 
 void Comm::RawSend(int dest_local, int tag, const void* data, Bytes bytes,
                    bool async) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  serde::Buffer payload(p, p + bytes);
+  RawSend(dest_local, tag,
+          buf::Bytes::Copy({static_cast<const char*>(data), bytes}), async);
+}
+
+void Comm::RawSend(int dest_local, int tag, buf::Bytes payload, bool async) {
   if (async) {
     endpoint().SendAsync(ctx_, GlobalRank(dest_local), tag,
                          std::move(payload));

@@ -16,10 +16,13 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "buf/bytes.h"
@@ -143,7 +146,17 @@ class Comm {
               Op op = Op{});
 
   /// Allreduce via recursive doubling (with the standard non-power-of-two
-  /// fold). Result in `out` on every rank.
+  /// fold). Result in `out` on every rank, bit-identical on all of them:
+  /// every combine is applied in rank order, op(lower rank's partial,
+  /// higher rank's partial), so even order-sensitive ops (OpMax on +0/-0,
+  /// NaN payloads) agree everywhere.
+  ///
+  /// Host side, partials are immutable refcounted buffers: one counted
+  /// copy of `data` on entry, sends by refcount, one memcpy into `out`.
+  /// At step `mask` all 2*mask ranks of a group hold the same two chunks,
+  /// so the World computes that combine once and shares the result by
+  /// refcount (pof2-1 combines per call instead of pof2*log2(pof2)). The
+  /// modeled combine and network charges are unchanged.
   template <typename T, typename Op = OpSum<T>>
   void Allreduce(std::span<const T> data, std::span<T> out, Op op = Op{});
 
@@ -192,6 +205,8 @@ class Comm {
   /// async sends to avoid rendezvous deadlocks on symmetric exchanges).
   void RawSend(int dest_local, int tag, const void* data, Bytes bytes,
                bool async);
+  /// Same, shipping an immutable payload by refcount (no copy).
+  void RawSend(int dest_local, int tag, buf::Bytes payload, bool async);
   Bytes RawRecv(int src_local, int tag, void* data, Bytes max_bytes);
   /// Zero-copy receive: hands back the message payload itself (a refcount
   /// bump on the sender's buffer) instead of memcpy'ing into caller
@@ -199,6 +214,12 @@ class Comm {
   buf::Bytes RawRecvBytes(int src_local, int tag, Bytes expected_bytes);
   /// Charge element-combining cost for reductions.
   void ChargeCombine(std::size_t elements);
+  /// Element-wise op(lower[i], higher[i]) into a fresh chunk. When
+  /// `sharers` > 1 ranks hold the same two chunks, the first computes and
+  /// the rest take its result from the World's combine table.
+  template <typename T, typename Op>
+  buf::Bytes CombineShared(const buf::Bytes& lower, const buf::Bytes& higher,
+                           int sharers, Op& op);
 
   World& world_;
   sim::Context& ctx_;
@@ -245,6 +266,25 @@ class World {
  private:
   friend class Comm;
 
+  /// One Allreduce combine computed for a group of ranks, keyed by the
+  /// identity of its two input chunks. The entry holds the inputs, so
+  /// their addresses cannot be reused while the key is live.
+  struct CombineEntry {
+    buf::Bytes lower;
+    buf::Bytes higher;
+    buf::Bytes result;
+    int takers = 0;  // sharers that have yet to take `result`
+  };
+  using CombineKey = std::pair<const std::uint8_t*, const std::uint8_t*>;
+  /// The result published for (lower, higher), if any; the last taker
+  /// erases the entry.
+  std::optional<buf::Bytes> TakeCombine(const buf::Bytes& lower,
+                                        const buf::Bytes& higher);
+  /// Publish `result` for `takers` more ranks, or, if another rank
+  /// published first, take that result instead. Returns the shared result.
+  buf::Bytes PublishCombine(const buf::Bytes& lower, const buf::Bytes& higher,
+                            buf::Bytes result, int takers);
+
   cluster::Cluster& cluster_;
   MpiOptions options_;
   int nranks_;
@@ -254,6 +294,9 @@ class World {
   SimTime job_end_ = 0;
   int ranks_done_ = 0;
   std::function<void(SimTime)> on_done_;
+  // Ranks may run on different host threads (thread backend, shards).
+  std::mutex combines_mu_;
+  std::map<CombineKey, CombineEntry> combines_;
 };
 
 /// MPI-IO over node-local scratch replicas (the paper's setup: the input
@@ -317,30 +360,35 @@ void Comm::Reduce(std::span<const T> data, std::span<T> out, int root,
   const int tag = NextCollTag("reduce");
   const int n = size_;
   const int relative = (rank_ - root + n) % n;
-  std::vector<T> accum(data.begin(), data.end());
+  const Bytes bytes = data.size_bytes();
+  const auto* first = reinterpret_cast<const std::uint8_t*>(data.data());
+  std::vector<std::uint8_t> accum(first, first + bytes);
+  T* acc = reinterpret_cast<T*>(accum.data());
 
   // Binomial tree: children push partial results toward the (virtual) root.
   for (int mask = 1; mask < n; mask <<= 1) {
     if ((relative & mask) == 0) {
       const int src_rel = relative | mask;
       if (src_rel < n) {
-        const buf::Bytes incoming = RawRecvBytes((src_rel + root) % n, tag,
-                                                 accum.size() * sizeof(T));
+        const buf::Bytes incoming =
+            RawRecvBytes((src_rel + root) % n, tag, bytes);
         const T* in = reinterpret_cast<const T*>(incoming.data());
-        for (std::size_t i = 0; i < accum.size(); ++i) {
-          accum[i] = op(accum[i], in[i]);
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          acc[i] = op(acc[i], in[i]);
         }
-        ChargeCombine(accum.size());
+        ChargeCombine(data.size());
       }
     } else {
+      // The rank is done after this send, so the accumulator moves into
+      // the message instead of being copied.
       const int dst_rel = relative & ~mask;
-      RawSend((dst_rel + root) % n, tag, accum.data(),
-              accum.size() * sizeof(T), /*async=*/false);
+      RawSend((dst_rel + root) % n, tag,
+              buf::Bytes::FromVector(std::move(accum)), /*async=*/false);
       break;
     }
   }
   if (rank_ == root && !out.empty()) {
-    std::memcpy(out.data(), accum.data(), accum.size() * sizeof(T));
+    std::memcpy(out.data(), accum.data(), bytes);
   }
 }
 
@@ -349,14 +397,13 @@ void Comm::Allreduce(std::span<const T> data, std::span<T> out, Op op) {
   static_assert(std::is_trivially_copyable_v<T>);
   const int tag = NextCollTag("allreduce");
   const int n = size_;
-  std::vector<T> accum(data.begin(), data.end());
-  const Bytes bytes = accum.size() * sizeof(T);
-  auto combine = [&](const buf::Bytes& incoming) {
-    const T* in = reinterpret_cast<const T*>(incoming.data());
-    for (std::size_t i = 0; i < accum.size(); ++i) {
-      accum[i] = op(accum[i], in[i]);
-    }
-    ChargeCombine(accum.size());
+  const Bytes bytes = data.size_bytes();
+  buf::Bytes accum = buf::Bytes::Copy(
+      {reinterpret_cast<const char*>(data.data()), bytes});
+  auto combine = [&](const buf::Bytes& lower, const buf::Bytes& higher,
+                     int sharers) {
+    accum = CombineShared<T>(lower, higher, sharers, op);
+    ChargeCombine(data.size());
   };
 
   int pof2 = 1;
@@ -367,10 +414,10 @@ void Comm::Allreduce(std::span<const T> data, std::span<T> out, Op op) {
   int newrank;
   if (rank_ < 2 * rem) {
     if (rank_ % 2 == 0) {
-      RawSend(rank_ + 1, tag, accum.data(), bytes, /*async=*/true);
+      RawSend(rank_ + 1, tag, accum, /*async=*/true);
       newrank = -1;
     } else {
-      combine(RawRecvBytes(rank_ - 1, tag, bytes));
+      combine(RawRecvBytes(rank_ - 1, tag, bytes), accum, /*sharers=*/1);
       newrank = rank_ / 2;
     }
   } else {
@@ -381,22 +428,49 @@ void Comm::Allreduce(std::span<const T> data, std::span<T> out, Op op) {
 
   if (newrank >= 0) {
     for (int mask = 1; mask < pof2; mask <<= 1) {
-      const int partner = real_rank(newrank ^ mask);
-      RawSend(partner, tag, accum.data(), bytes, /*async=*/true);
-      combine(RawRecvBytes(partner, tag, bytes));
+      const int partner_newrank = newrank ^ mask;
+      const int partner = real_rank(partner_newrank);
+      RawSend(partner, tag, accum, /*async=*/true);
+      const buf::Bytes theirs = RawRecvBytes(partner, tag, bytes);
+      if (newrank < partner_newrank) {
+        combine(accum, theirs, 2 * mask);
+      } else {
+        combine(theirs, accum, 2 * mask);
+      }
     }
   }
 
   // Unfold: folded ranks receive the final result.
   if (rank_ < 2 * rem) {
     if (rank_ % 2 == 0) {
-      const buf::Bytes final_result = RawRecvBytes(rank_ + 1, tag, bytes);
-      std::memcpy(out.data(), final_result.data(), bytes);
-      return;
+      accum = RawRecvBytes(rank_ + 1, tag, bytes);
+    } else {
+      RawSend(rank_ - 1, tag, accum, /*async=*/true);
     }
-    RawSend(rank_ - 1, tag, accum.data(), bytes, /*async=*/true);
   }
-  std::memcpy(out.data(), accum.data(), bytes);
+  if (bytes > 0) std::memcpy(out.data(), accum.data(), bytes);
+}
+
+template <typename T, typename Op>
+buf::Bytes Comm::CombineShared(const buf::Bytes& lower,
+                               const buf::Bytes& higher, int sharers,
+                               Op& op) {
+  const bool shared = sharers > 1 && !lower.empty();
+  if (shared) {
+    if (std::optional<buf::Bytes> hit = world_.TakeCombine(lower, higher)) {
+      return *std::move(hit);
+    }
+  }
+  buf::Bytes result =
+      buf::Bytes::Generate(lower.size(), [&](std::uint8_t* dst) {
+        const T* a = reinterpret_cast<const T*>(lower.data());
+        const T* b = reinterpret_cast<const T*>(higher.data());
+        T* c = reinterpret_cast<T*>(dst);
+        const std::size_t n = lower.size() / sizeof(T);
+        for (std::size_t i = 0; i < n; ++i) c[i] = op(a[i], b[i]);
+      });
+  if (!shared) return result;
+  return world_.PublishCombine(lower, higher, std::move(result), sharers - 1);
 }
 
 template <typename T>

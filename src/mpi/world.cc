@@ -78,6 +78,34 @@ void World::SpawnRanks(RankBody body) {
   }
 }
 
+std::optional<buf::Bytes> World::TakeCombine(const buf::Bytes& lower,
+                                             const buf::Bytes& higher) {
+  const std::lock_guard<std::mutex> lock(combines_mu_);
+  auto it = combines_.find(CombineKey{lower.data(), higher.data()});
+  if (it == combines_.end()) return std::nullopt;
+  buf::Bytes result = it->second.result;
+  if (--it->second.takers == 0) combines_.erase(it);
+  return result;
+}
+
+buf::Bytes World::PublishCombine(const buf::Bytes& lower,
+                                 const buf::Bytes& higher, buf::Bytes result,
+                                 int takers) {
+  const std::lock_guard<std::mutex> lock(combines_mu_);
+  auto [it, inserted] =
+      combines_.try_emplace(CombineKey{lower.data(), higher.data()});
+  CombineEntry& entry = it->second;
+  if (inserted) {
+    entry = CombineEntry{lower, higher, std::move(result), takers};
+    return entry.result;
+  }
+  // Another sharer computed the same bits first: adopt its chunk so the
+  // group keeps holding one identity for the next step's key.
+  buf::Bytes shared = entry.result;
+  if (--entry.takers == 0) combines_.erase(it);
+  return shared;
+}
+
 Result<SimTime> World::RunSpmd(RankBody body) {
   SpawnRanks(std::move(body));
   const sim::RunResult result = cluster_.engine().Run();

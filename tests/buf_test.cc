@@ -68,6 +68,21 @@ TEST(BytesTest, FromVectorTakesOwnershipWithoutCopying) {
   EXPECT_EQ(d.copies, 0u);
 }
 
+TEST(BytesTest, GenerateFillsOneUncountedChunk) {
+  const StatsSnapshot before = SnapshotStats();
+  const Bytes b = Bytes::Generate(5, [](std::uint8_t* out) {
+    for (int i = 0; i < 5; ++i) out[i] = static_cast<std::uint8_t>('a' + i);
+  });
+  const StatsSnapshot d = Delta(before);
+  EXPECT_EQ(b.view(), "abcde");
+  EXPECT_EQ(d.chunks_allocated, 1u);
+  EXPECT_EQ(d.copies, 0u);
+  bool called = false;
+  EXPECT_TRUE(Bytes::Generate(0, [&](std::uint8_t*) { called = true; })
+                  .empty());
+  EXPECT_FALSE(called);
+}
+
 TEST(BytesTest, SliceAliasesStorage) {
   const Bytes b = Bytes::Copy("abcdefgh");
   const StatsSnapshot before = SnapshotStats();

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
+#include "buf/bytes.h"
 #include "cluster/cluster.h"
+#include "common/rng.h"
 #include "mpi/mpi.h"
 #include "sim/engine.h"
 
@@ -170,6 +174,218 @@ TEST(MpiTest, AllreduceMaxOperator) {
   });
   ASSERT_TRUE(t.ok());
   for (int r = 0; r < 5; ++r) EXPECT_EQ(results[r], 4);
+}
+
+TEST(MpiTest, AllreduceMaxOfSignedZerosAgreesAcrossRanks) {
+  // OpMax(+0, -0) keeps its first argument, so partners that combined in
+  // opposite orders used to end with different signs. The rank-ordered
+  // combine gives op(rank 0's value, rank 1's value) on both ranks.
+  for (const double first : {0.0, -0.0}) {
+    MpiFixture f;
+    World world(*f.cluster, 2, 1);
+    std::vector<double> results(2, 1.0);
+    auto t = world.RunSpmd([&](Comm& comm) {
+      const std::vector<double> data{comm.rank() == 0 ? first : -first};
+      std::vector<double> out(1);
+      comm.Allreduce<double, OpMax<double>>(data, out);
+      results[comm.rank()] = out[0];
+    });
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_EQ(results[0], 0.0);
+    EXPECT_EQ(std::signbit(results[0]), std::signbit(first));
+    EXPECT_EQ(std::signbit(results[1]), std::signbit(first));
+  }
+}
+
+constexpr std::size_t kBitsElems = 64;
+
+// Seeded doubles whose first entries are signed zeros and one NaN, the
+// values on which sum, max and min are sensitive to operand order.
+std::vector<double> SeededAllreduceInput(int rank, int nranks) {
+  Rng rng(1000 + static_cast<std::uint64_t>(rank));
+  std::vector<double> data(kBitsElems);
+  for (double& x : data) x = rng.Uniform(-1.0, 1.0);
+  data[0] = -0.0;
+  data[1] = rank % 2 == 0 ? 0.0 : -0.0;
+  data[2] = rank % 3 == 0 ? -0.0 : 0.0;
+  data[3] = rank == nranks / 2 ? std::numeric_limits<double>::quiet_NaN()
+                               : static_cast<double>(rank);
+  return data;
+}
+
+// Every rank's Allreduce output, concatenated in rank order.
+template <typename Op>
+std::vector<double> AllreduceOnEveryRank(int nranks) {
+  MpiFixture f(8);
+  World world(*f.cluster, nranks, 4);
+  std::vector<double> results(static_cast<std::size_t>(nranks) * kBitsElems);
+  auto t = world.RunSpmd([&](Comm& comm) {
+    const std::vector<double> data =
+        SeededAllreduceInput(comm.rank(), nranks);
+    comm.Allreduce<double, Op>(
+        data, std::span<double>(results).subspan(
+                  static_cast<std::size_t>(comm.rank()) * kBitsElems,
+                  kBitsElems));
+  });
+  EXPECT_TRUE(t.ok()) << t.status().ToString();
+  return results;
+}
+
+template <typename Op>
+void ExpectSameBitsOnEveryRank(int nranks) {
+  const std::vector<double> results = AllreduceOnEveryRank<Op>(nranks);
+  const std::size_t row = kBitsElems * sizeof(double);
+  for (int r = 1; r < nranks; ++r) {
+    EXPECT_EQ(std::memcmp(results.data(),
+                          results.data() + static_cast<std::size_t>(r) *
+                                               kBitsElems,
+                          row),
+              0)
+        << "rank " << r << " of " << nranks;
+  }
+  // Past the order-sensitive entries the value itself is checked.
+  std::vector<double> expected = SeededAllreduceInput(0, nranks);
+  for (int r = 1; r < nranks; ++r) {
+    const std::vector<double> in = SeededAllreduceInput(r, nranks);
+    for (std::size_t i = 4; i < kBitsElems; ++i) {
+      expected[i] = Op{}(expected[i], in[i]);
+    }
+  }
+  for (std::size_t i = 4; i < kBitsElems; ++i) {
+    EXPECT_NEAR(results[i], expected[i], 1e-12) << "element " << i;
+  }
+}
+
+class AllreduceBitsSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(AllreduceBitsSweep, EveryRankHoldsIdenticalBits) {
+  ExpectSameBitsOnEveryRank<OpSum<double>>(GetParam());
+  ExpectSameBitsOnEveryRank<OpMax<double>>(GetParam());
+  ExpectSameBitsOnEveryRank<OpMin<double>>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, AllreduceBitsSweep,
+                         ::testing::Values(1, 2, 3, 5, 6, 7, 12, 16, 17));
+
+TEST(MpiTest, AllreduceCopiesOnceOnEntryAndSharesEachCombine) {
+  // Buffer statistics are process-global, so each Allreduce job is diffed
+  // against the same job without it: launch and finalize traffic cancel.
+  constexpr std::size_t kElems = 1000;
+  struct Delta {
+    std::uint64_t chunks = 0;
+    std::uint64_t copies = 0;
+    std::uint64_t copy_bytes = 0;
+  };
+  auto run = [](int nranks, bool allreduce) {
+    MpiFixture f(8);
+    World world(*f.cluster, nranks, 4);
+    const buf::StatsSnapshot before = buf::SnapshotStats();
+    auto t = world.RunSpmd([&](Comm& comm) {
+      if (!allreduce) return;
+      const std::vector<double> data(kElems, comm.rank() + 0.5);
+      std::vector<double> out(kElems);
+      comm.Allreduce<double>(data, out);
+    });
+    EXPECT_TRUE(t.ok()) << t.status().ToString();
+    const buf::StatsSnapshot after = buf::SnapshotStats();
+    return Delta{after.chunks_allocated - before.chunks_allocated,
+                 after.copies - before.copies,
+                 after.copy_bytes - before.copy_bytes};
+  };
+  for (const int nranks : {1, 2, 8, 32}) {
+    const Delta with = run(nranks, true);
+    const Delta without = run(nranks, false);
+    const auto p = static_cast<std::uint64_t>(nranks);
+    EXPECT_EQ(with.copies - without.copies, p) << nranks << " ranks";
+    EXPECT_EQ(with.copy_bytes - without.copy_bytes, p * kElems * 8)
+        << nranks << " ranks";
+    // P entry copies plus P-1 combine results, one per tree node.
+    EXPECT_EQ(with.chunks - without.chunks, p + (p - 1))
+        << nranks << " ranks";
+  }
+}
+
+constexpr std::size_t kJobElems = 512;
+
+struct AllreduceJobs {
+  std::vector<std::vector<double>> results;  // per job: every rank's rows
+  std::vector<SimTime> ends;
+  std::string trace;
+};
+
+// Four 8-rank jobs running Allreduce rounds at once, each on its own two
+// nodes and its own fabric. One MPI job may not span shards (its ranks
+// share mailboxes at zero lookahead), so with `shards` = 4 each job gets
+// a shard and the four run on separate host threads.
+AllreduceJobs RunConcurrentAllreduceJobs(sim::Backend backend, int shards) {
+  constexpr int kJobs = 4;
+  constexpr int kRanks = 8;
+  constexpr int kRanksPerNode = 4;
+  constexpr int kNodesPerJob = kRanks / kRanksPerNode;
+  constexpr int kRounds = 3;
+  sim::ShardOptions opts;
+  if (shards > 1) {
+    opts.shards = shards;
+    opts.shard_of_node = [](int node) { return node / kNodesPerJob; };
+    // The jobs never interact, so any positive lookahead is exact.
+    opts.lookahead = [](int, int) { return 1.0; };
+  }
+  sim::Engine engine(7, backend, std::move(opts));
+  engine.EnableTrace(true);
+  cluster::Cluster cluster(engine,
+                           cluster::ClusterSpec::Comet(kJobs * kNodesPerJob));
+  AllreduceJobs out;
+  out.results.assign(kJobs, std::vector<double>(kRanks * kJobElems, -1.0));
+  std::vector<std::unique_ptr<World>> worlds;
+  for (int j = 0; j < kJobs; ++j) {
+    MpiOptions options;
+    options.name = "job" + std::to_string(j);
+    options.transport = cluster.spec().transport;
+    options.transport->name += "-" + options.name;
+    for (int r = 0; r < kRanks; ++r) {
+      options.placement.push_back(j * kNodesPerJob + r / kRanksPerNode);
+    }
+    worlds.push_back(std::make_unique<World>(cluster, kRanks, kRanksPerNode,
+                                             std::move(options)));
+    std::vector<double>& rows = out.results[static_cast<std::size_t>(j)];
+    worlds.back()->SpawnRanks([&rows, j](Comm& comm) {
+      Rng rng(static_cast<std::uint64_t>(j * 100 + comm.rank()));
+      std::vector<double> data(kJobElems);
+      const std::span<double> mine = std::span<double>(rows).subspan(
+          static_cast<std::size_t>(comm.rank()) * kJobElems, kJobElems);
+      for (int round = 0; round < kRounds; ++round) {
+        for (double& x : data) x = rng.Uniform(-1.0, 1.0);
+        comm.Allreduce<double>(data, mine);
+        comm.ctx().Compute(1e-4 * (comm.rank() + 1));
+      }
+    });
+  }
+  const sim::RunResult result = engine.Run();
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  for (const auto& world : worlds) out.ends.push_back(world->job_end_time());
+  out.trace = engine.obs().ToChromeTraceJson();
+  return out;
+}
+
+TEST(MpiTest, AllreduceIsBackendAndShardCountInvariant) {
+  const AllreduceJobs oracle =
+      RunConcurrentAllreduceJobs(sim::Backend::kFibers, 1);
+  for (const auto& rows : oracle.results) {
+    for (std::size_t r = 1; r < rows.size() / kJobElems; ++r) {
+      EXPECT_EQ(std::memcmp(rows.data(), rows.data() + r * kJobElems,
+                            kJobElems * sizeof(double)),
+                0);
+    }
+  }
+  const AllreduceJobs threads =
+      RunConcurrentAllreduceJobs(sim::Backend::kThreads, 1);
+  const AllreduceJobs sharded =
+      RunConcurrentAllreduceJobs(sim::Backend::kFibers, 4);
+  for (const AllreduceJobs* other : {&threads, &sharded}) {
+    EXPECT_EQ(other->results, oracle.results);
+    EXPECT_EQ(other->ends, oracle.ends);
+    EXPECT_EQ(other->trace, oracle.trace);
+  }
 }
 
 TEST(MpiTest, GatherCollectsInRankOrder) {
