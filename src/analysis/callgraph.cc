@@ -394,62 +394,65 @@ Program Program::Analyze(std::vector<ProgramSource> sources, int jobs) {
     ScanSpscDecls(fu.file, fu.tokens, &p.spsc_fields_);
   }
 
+  // --- lowering: one CFG (and the flow derived from it) per function -----
+  for (const FileUnit& fu : p.units_) {
+    for (const Function& fn : fu.unit.functions) {
+      p.fns_.push_back(FnEntry{fu.file, &fn,
+                               FunctionFlow(Cfg::Build(fn), p.know_.get()),
+                               FunctionSummary{}, {}});
+    }
+  }
+
   // --- phase 2: taint-knowledge fixpoint ---------------------------------
-  // Rebuild every flow with the current rank/wide function-name sets until
-  // they stabilize. Chains like `Partner() { return Left(rank); }` need
-  // one extra round per wrapper level; 8 rounds cover any sane depth.
+  // Recompute every flow's derived facts with the current rank/wide
+  // function-name sets until they stabilize. Chains like
+  // `Partner() { return Left(rank); }` need one extra round per wrapper
+  // level; 8 rounds cover any sane depth.
   std::set<std::string> rank_fns;
   std::set<std::string> wide_fns;
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
-    for (const FileUnit& fu : p.units_) {
-      for (const Function& fn : fu.unit.functions) {
-        if (!Nameable(fn)) continue;
-        const FunctionFlow flow(fn, p.know_.get());
-        bool returns_rank = false;
-        bool returns_wide = false;
-        for (const FlowEvent& e : flow.events()) {
-          if (e.call != nullptr || e.stmt->kind != StmtKind::kReturn) {
-            continue;
-          }
-          if (flow.IsRankDerived(e.stmt->text)) returns_rank = true;
-          if (flow.Is64BitSized(e.stmt->text)) returns_wide = true;
+    for (FnEntry& e : p.fns_) {
+      if (!Nameable(*e.fn)) continue;
+      e.flow.ComputeDerived();
+      bool returns_rank = false;
+      bool returns_wide = false;
+      for (const FlowEvent& ev : e.flow.events()) {
+        if (ev.call != nullptr || ev.stmt->kind != StmtKind::kReturn) {
+          continue;
         }
-        if (returns_rank && rank_fns.insert(fn.name).second) changed = true;
-        if (returns_wide && wide_fns.insert(fn.name).second) changed = true;
+        if (e.flow.IsRankDerived(ev.stmt->text)) returns_rank = true;
+        if (e.flow.Is64BitSized(ev.stmt->text)) returns_wide = true;
       }
+      if (returns_rank && rank_fns.insert(e.fn->name).second) changed = true;
+      if (returns_wide && wide_fns.insert(e.fn->name).second) changed = true;
     }
     p.know_->rank_fns.assign(rank_fns.begin(), rank_fns.end());
     p.know_->wide_fns.assign(wide_fns.begin(), wide_fns.end());
     if (!changed) break;
   }
 
-  // --- final flows + direct summary facts --------------------------------
-  for (const FileUnit& fu : p.units_) {
-    for (const Function& fn : fu.unit.functions) {
-      FnEntry e{fu.file, &fn, FunctionFlow(fn, p.know_.get()),
-                FunctionSummary{}, {}};
-      e.summary.returns_rank = rank_fns.count(fn.name) != 0;
-      e.summary.returns_wide = wide_fns.count(fn.name) != 0;
-      for (const FlowEvent& ev : e.flow.events()) {
-        if (ev.call == nullptr) continue;
-        if (IsCollectiveMethod(ev.call->method) &&
-            !e.summary.calls_collective) {
-          e.summary.calls_collective = true;
-          e.summary.collective_line = ev.call->line;
-          e.summary.collective_name = ev.call->method;
-        }
-        if (IsBlockingMethod(ev.call->method) && !e.summary.calls_blocking) {
-          e.summary.calls_blocking = true;
-          e.summary.blocking_line = ev.call->line;
-          e.summary.blocking_name = ev.call->method;
-        }
-        if (ev.call->method == "Checkpoint" && !e.summary.calls_checkpoint) {
-          e.summary.calls_checkpoint = true;
-          e.summary.checkpoint_line = ev.call->line;
-        }
+  // --- final derived facts + direct summary facts ------------------------
+  for (FnEntry& e : p.fns_) {
+    e.flow.ComputeDerived();
+    e.summary.returns_rank = rank_fns.count(e.fn->name) != 0;
+    e.summary.returns_wide = wide_fns.count(e.fn->name) != 0;
+    for (const FlowEvent& ev : e.flow.events()) {
+      if (ev.call == nullptr) continue;
+      if (IsCollectiveMethod(ev.call->method) && !e.summary.calls_collective) {
+        e.summary.calls_collective = true;
+        e.summary.collective_line = ev.call->line;
+        e.summary.collective_name = ev.call->method;
       }
-      p.fns_.push_back(std::move(e));
+      if (IsBlockingMethod(ev.call->method) && !e.summary.calls_blocking) {
+        e.summary.calls_blocking = true;
+        e.summary.blocking_line = ev.call->line;
+        e.summary.blocking_name = ev.call->method;
+      }
+      if (ev.call->method == "Checkpoint" && !e.summary.calls_checkpoint) {
+        e.summary.calls_checkpoint = true;
+        e.summary.checkpoint_line = ev.call->line;
+      }
     }
   }
 

@@ -4,10 +4,12 @@
 // Pipeline (Program::Analyze):
 //   1. tokenize + parse every source; token streams are kept for the
 //      SPSC channel-field scan (`SpscRing<T> name` declarations);
-//   2. taint-knowledge fixpoint: every FunctionFlow is rebuilt with the
-//      current set of rank-returning / wide-returning function names
-//      until the sets stabilize — `int Partner() { return rank ^ 1; }`
-//      makes a `Partner(...)` call a rank source in every caller;
+//   2. lowering + taint-knowledge fixpoint: each function is lowered
+//      once (Cfg, with its FunctionFlow derived from it); the flows'
+//      derived facts are recomputed with the current set of
+//      rank-returning / wide-returning function names until the sets
+//      stabilize — `int Partner() { return rank ^ 1; }` makes a
+//      `Partner(...)` call a rank source in every caller;
 //   3. call-edge resolution by method name (arity-preferred — see
 //      Resolve); a lambda lifted as `outer::lambda#k` is linked to its
 //      host function with a containment edge, conservatively treated as
@@ -87,7 +89,8 @@ class Program {
   struct FnEntry {
     std::string file;
     const Function* fn = nullptr;
-    FunctionFlow flow;  // built with the final taint knowledge
+    FunctionFlow flow;  // owns the function's lowering (flow.cfg());
+                        // derived facts use the final taint knowledge
     FunctionSummary summary;
     std::vector<int> callees;  // indices into fns(), deduplicated
   };

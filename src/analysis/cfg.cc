@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "analysis/dataflow.h"
+
 namespace pstk::analysis {
 
 namespace {
@@ -10,74 +12,81 @@ namespace {
 /// known (the exit block is appended last so goldens read top-to-bottom).
 constexpr int kExitSentinel = -2;
 
-class Builder {
- public:
-  Builder(const Function& fn, const FunctionFlow& flow) : flow_(flow) {
+/// Lowers one function; the results are the three public fields.
+struct Builder {
+  explicit Builder(const Function& fn) {
     const int entry = NewBlock(0);
-    const int open = Lower(fn.body, entry, 0);
-    exit_ = NewBlock(0);
-    if (open != -1) AddEdge(open, exit_);
-    for (CfgBlock& b : blocks_) {
+    const int open = Lower(fn.body, entry, 0, -1);
+    exit_block = NewBlock(0);
+    if (open != -1) AddEdge(open, exit_block);
+    for (CfgBlock& b : blocks) {
       for (CfgEdge& e : b.succs) {
-        if (e.to == kExitSentinel) e.to = exit_;
+        if (e.to == kExitSentinel) e.to = exit_block;
       }
     }
   }
 
-  [[nodiscard]] std::vector<CfgBlock> Take() { return std::move(blocks_); }
-  [[nodiscard]] int exit_id() const { return exit_; }
+  std::vector<CfgStmt> source_order;
+  std::vector<CfgBlock> blocks;
+  int exit_block = 0;
 
- private:
   int NewBlock(int loop_depth) {
-    const int id = static_cast<int>(blocks_.size());
-    blocks_.push_back(CfgBlock{});
-    blocks_.back().id = id;
-    blocks_.back().loop_depth = loop_depth;
+    const int id = static_cast<int>(blocks.size());
+    blocks.push_back(CfgBlock{});
+    blocks.back().id = id;
+    blocks.back().loop_depth = loop_depth;
     return id;
   }
 
   void AddEdge(int from, int to, std::optional<CfgCond> cond = std::nullopt,
                bool back = false) {
-    blocks_[from].succs.push_back(CfgEdge{to, std::move(cond), back});
+    blocks[from].succs.push_back(CfgEdge{to, cond, back});
   }
 
-  [[nodiscard]] CfgCond CondOf(const Stmt& s, bool negated) const {
-    CfgCond c;
-    c.text = s.text;
-    c.line = s.line;
-    c.negated = negated;
-    // A guard on a Result/status (`.ok()`) is error handling, not SPMD
-    // divergence, even though the status value is rank-local.
-    c.rank_divergent = s.text.find(".ok()") == std::string::npos &&
-                       flow_.IsRankDerived(s.text);
-    return c;
-  }
-
-  /// Lower `stmts` starting in block `cur`; returns the block left open at
-  /// the end, or -1 when every path through `stmts` already terminated
-  /// (statements after an unconditional return are unreachable and are
-  /// dropped).
-  int Lower(const std::vector<Stmt>& stmts, int cur, int loop_depth) {
+  /// Lower `stmts` starting in block `cur` (-1: unreachable, after an
+  /// unconditional return — the statements are listed but get no block);
+  /// returns the block left open at the end, or -1 when every path
+  /// through `stmts` already terminated.
+  int Lower(const std::vector<Stmt>& stmts, int cur, int loop_depth,
+            int guard) {
     for (const Stmt& s : stmts) {
-      if (cur == -1) break;
+      const int at = static_cast<int>(source_order.size());
+      source_order.push_back(CfgStmt{&s, loop_depth, guard});
+      if (cur == -1) {
+        switch (s.kind) {
+          case StmtKind::kLoop:
+            Lower(s.children, -1, loop_depth + 1, guard);
+            break;
+          case StmtKind::kBranch:
+            Lower(s.children, -1, loop_depth, at);
+            Lower(s.else_children, -1, loop_depth, at);
+            break;
+          case StmtKind::kBlock:
+            Lower(s.children, -1, loop_depth, guard);
+            break;
+          default:
+            break;
+        }
+        continue;
+      }
       switch (s.kind) {
         case StmtKind::kBranch: {
-          blocks_[cur].stmts.push_back(&s);
+          blocks[cur].stmts.push_back(&s);
           const int then_entry = NewBlock(loop_depth);
-          AddEdge(cur, then_entry, CondOf(s, /*negated=*/false));
-          const int then_end = Lower(s.children, then_entry, loop_depth);
+          AddEdge(cur, then_entry, CfgCond{&s, /*negated=*/false});
+          const int then_end = Lower(s.children, then_entry, loop_depth, at);
           if (s.else_children.empty()) {
             // No else (this also covers switch, lowered by the parser as a
             // branch with an empty else: some arm ran, or none did).
             const int join = NewBlock(loop_depth);
-            AddEdge(cur, join, CondOf(s, /*negated=*/true));
+            AddEdge(cur, join, CfgCond{&s, /*negated=*/true});
             if (then_end != -1) AddEdge(then_end, join);
             cur = join;
           } else {
             const int else_entry = NewBlock(loop_depth);
-            AddEdge(cur, else_entry, CondOf(s, /*negated=*/true));
+            AddEdge(cur, else_entry, CfgCond{&s, /*negated=*/true});
             const int else_end = Lower(s.else_children, else_entry,
-                                       loop_depth);
+                                       loop_depth, at);
             if (then_end == -1 && else_end == -1) {
               cur = -1;
             } else {
@@ -92,12 +101,12 @@ class Builder {
         case StmtKind::kLoop: {
           const int head = NewBlock(loop_depth);
           AddEdge(cur, head);
-          blocks_[head].stmts.push_back(&s);
+          blocks[head].stmts.push_back(&s);
           const int body = NewBlock(loop_depth + 1);
           const int after = NewBlock(loop_depth);
-          AddEdge(head, body, CondOf(s, /*negated=*/false));
-          AddEdge(head, after, CondOf(s, /*negated=*/true));
-          const int body_end = Lower(s.children, body, loop_depth + 1);
+          AddEdge(head, body, CfgCond{&s, /*negated=*/false});
+          AddEdge(head, after, CfgCond{&s, /*negated=*/true});
+          const int body_end = Lower(s.children, body, loop_depth + 1, guard);
           if (body_end != -1) {
             AddEdge(body_end, head, std::nullopt, /*back=*/true);
           }
@@ -105,38 +114,35 @@ class Builder {
           break;
         }
         case StmtKind::kReturn: {
-          blocks_[cur].stmts.push_back(&s);
+          blocks[cur].stmts.push_back(&s);
           AddEdge(cur, kExitSentinel);
           cur = -1;
           break;
         }
         case StmtKind::kBlock: {
-          cur = Lower(s.children, cur, loop_depth);
+          cur = Lower(s.children, cur, loop_depth, guard);
           break;
         }
         case StmtKind::kPlain:
         case StmtKind::kPragma: {
-          blocks_[cur].stmts.push_back(&s);
+          blocks[cur].stmts.push_back(&s);
           break;
         }
       }
     }
     return cur;
   }
-
-  const FunctionFlow& flow_;
-  std::vector<CfgBlock> blocks_;
-  int exit_ = 0;
 };
 
 }  // namespace
 
-Cfg Cfg::Build(const Function& fn, const FunctionFlow& flow) {
-  Builder b(fn, flow);
+Cfg Cfg::Build(const Function& fn) {
+  Builder b(fn);
   Cfg cfg;
-  cfg.exit_ = b.exit_id();
-  cfg.blocks_ = b.Take();
-  cfg.entry_ = 0;
+  cfg.fn_ = &fn;
+  cfg.stmts_ = std::move(b.source_order);
+  cfg.blocks_ = std::move(b.blocks);
+  cfg.exit_ = b.exit_block;
   return cfg;
 }
 
@@ -156,7 +162,6 @@ std::vector<Cfg::Path> Cfg::EnumeratePaths(std::size_t max_paths,
     if (truncated) return;
     ++visits[id];
     const std::size_t step_mark = cur.steps.size();
-    const std::size_t cond_mark = cur.conds.size();
     const CfgBlock& b = blocks_[id];
     for (const Stmt* s : b.stmts) {
       cur.steps.push_back(Step{s, b.loop_depth});
@@ -170,9 +175,7 @@ std::vector<Cfg::Path> Cfg::EnumeratePaths(std::size_t max_paths,
     } else {
       for (const CfgEdge& e : b.succs) {
         if (visits[e.to] >= 2) continue;
-        if (e.cond.has_value()) cur.conds.push_back(*e.cond);
         self(self, e.to);
-        if (e.cond.has_value()) cur.conds.pop_back();
         if (truncated) break;
       }
       // A block with no viable successor is a dead end (e.g. a loop body
@@ -180,7 +183,6 @@ std::vector<Cfg::Path> Cfg::EnumeratePaths(std::size_t max_paths,
       // simply abandoned.
     }
     cur.steps.resize(step_mark);
-    cur.conds.resize(cond_mark);
     --visits[id];
   };
   walk(walk, entry_);
@@ -189,7 +191,7 @@ std::vector<Cfg::Path> Cfg::EnumeratePaths(std::size_t max_paths,
   return paths;
 }
 
-std::string Cfg::Dump() const {
+std::string Cfg::Dump(const FunctionFlow& flow) const {
   std::ostringstream os;
   os << "entry=b" << entry_ << " exit=b" << exit_ << "\n";
   for (const CfgBlock& b : blocks_) {
@@ -202,19 +204,16 @@ std::string Cfg::Dump() const {
     for (const CfgEdge& e : b.succs) {
       os << "  -> b" << e.to;
       if (e.cond.has_value()) {
-        os << (e.cond->negated ? " ifnot \"" : " if \"") << e.cond->text
-           << "\" (line " << e.cond->line
-           << (e.cond->rank_divergent ? ", divergent)" : ")");
+        const Stmt& cond = *e.cond->stmt;
+        os << (e.cond->negated ? " ifnot \"" : " if \"") << cond.text
+           << "\" (line " << cond.line
+           << (flow.IsDivergent(cond) ? ", divergent)" : ")");
       }
       if (e.back_edge) os << " back";
       os << "\n";
     }
   }
   return os.str();
-}
-
-std::string DumpCfg(const Function& fn, const FunctionFlow& flow) {
-  return Cfg::Build(fn, flow).Dump();
 }
 
 }  // namespace pstk::analysis

@@ -1,12 +1,20 @@
-// Stage 3.5 of the pstk-lint pipeline: a per-function control-flow graph
-// over the stage-2 statement tree, with symbolic branch conditions.
+// Stage 3 of the pstk-lint pipeline, first half: the one lowering of a
+// function. Program::Analyze builds it once per function and every later
+// layer reads it; FunctionFlow (dataflow.h, the second half) derives its
+// variable table and event stream from it.
 //
-// Each Function lowers to basic blocks of *leaf* statements connected by
-// edges that carry the branch condition they were taken under (condition
-// text, polarity, and whether the condition is rank-divergent per the
-// stage-3 dataflow). Loops lower to a head block with a body-taken edge,
-// a skip edge, and a back edge; switch statements lower like an if with
-// an empty else (conservative: some case ran, or none did).
+// The lowering has two views of the same statements:
+//   * the statement list — every statement in source order (a compound
+//     statement before its children), each with its loop depth and its
+//     innermost enclosing if/switch guard. Statements after an
+//     unconditional return stay in this list;
+//   * the control-flow graph — basic blocks of the reachable *leaf*
+//     statements connected by edges that carry the branch condition they
+//     were taken under. Loops lower to a head block with a body-taken
+//     edge, a skip edge, and a back edge; switch statements lower like an
+//     if with an empty else (conservative: some case ran, or none did).
+//     Statements after an unconditional return are unreachable and are
+//     not in any block.
 //
 // On top of the graph sits bounded *path enumeration*: every acyclic
 // entry-to-exit path, with loops abstracted to zero-or-one iterations
@@ -17,8 +25,8 @@
 // abstraction. Enumeration is capped; overflow reports "don't know",
 // never a truncated answer presented as complete.
 //
-// The path-sensitive divergence rules and the static deadlock detector
-// (lint.cc) consume paths; DumpCfg feeds the golden tests.
+// The path-sensitive divergence gate (lint.cc) consumes paths; Dump feeds
+// the golden tests.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +34,17 @@
 #include <string>
 #include <vector>
 
-#include "analysis/dataflow.h"
 #include "analysis/parse.h"
 
 namespace pstk::analysis {
 
-/// Symbolic branch condition attached to a CFG edge.
+class FunctionFlow;
+
+/// Branch condition attached to a CFG edge: the if/switch/loop header
+/// whose condition decides the edge.
 struct CfgCond {
-  std::string text;  // condition as written (compact)
-  int line = 0;
-  bool negated = false;         // edge taken when the condition is false
-  bool rank_divergent = false;  // condition depends on rank / PE id
+  const Stmt* stmt = nullptr;
+  bool negated = false;  // edge taken when the condition is false
 };
 
 struct CfgEdge {
@@ -55,13 +63,24 @@ struct CfgBlock {
   std::vector<CfgEdge> succs;
 };
 
+/// One entry of the source-order statement list.
+struct CfgStmt {
+  const Stmt* stmt = nullptr;
+  int loop_depth = 0;  // loop bodies enclosing the statement
+  int guard = -1;      // index in Cfg::stmts() of the innermost enclosing
+                       // if/switch; -1 when there is none
+};
+
 class Cfg {
  public:
-  /// Lower `fn` to a CFG. `flow` classifies branch conditions as
-  /// rank-divergent (with the `.ok()` status-guard exemption — a guard on
-  /// a Result is error handling, not rank divergence). The Function must
-  /// outlive the Cfg (blocks hold Stmt pointers).
-  static Cfg Build(const Function& fn, const FunctionFlow& flow);
+  /// Lower `fn`. The Function must outlive the Cfg (the lowering holds
+  /// Stmt pointers).
+  static Cfg Build(const Function& fn);
+
+  [[nodiscard]] const Function& fn() const { return *fn_; }
+
+  /// Every statement in source order, unreachable ones included.
+  [[nodiscard]] const std::vector<CfgStmt>& stmts() const { return stmts_; }
 
   [[nodiscard]] const std::vector<CfgBlock>& blocks() const {
     return blocks_;
@@ -76,7 +95,6 @@ class Cfg {
   };
   struct Path {
     std::vector<Step> steps;
-    std::vector<CfgCond> conds;  // branch decisions taken, in order
   };
 
   /// All entry-to-exit paths with loops abstracted to 0-or-1 iterations
@@ -87,16 +105,16 @@ class Cfg {
       std::size_t max_paths = 256, bool* overflow = nullptr) const;
 
   /// Deterministic text rendering for golden tests: one line per block
-  /// with its statement lines and outgoing edges.
-  [[nodiscard]] std::string Dump() const;
+  /// with its statement lines and outgoing edges; `flow` marks the
+  /// rank-divergent edge conditions.
+  [[nodiscard]] std::string Dump(const FunctionFlow& flow) const;
 
  private:
+  const Function* fn_ = nullptr;
+  std::vector<CfgStmt> stmts_;
   std::vector<CfgBlock> blocks_;
   int entry_ = 0;
   int exit_ = 0;
 };
-
-/// Build + dump in one step (test convenience).
-std::string DumpCfg(const Function& fn, const FunctionFlow& flow);
 
 }  // namespace pstk::analysis

@@ -92,123 +92,65 @@ bool ContainsWord(const std::string& text, const std::string& word) {
   return false;
 }
 
-FunctionFlow::FunctionFlow(const Function& fn, const TaintKnowledge* knowledge)
-    : fn_(&fn), know_(knowledge) {
-  for (const Param& p : fn.params) {
+FunctionFlow::FunctionFlow(Cfg cfg, const TaintKnowledge* knowledge)
+    : cfg_(std::move(cfg)), know_(knowledge) {
+  const auto declare = [this](const std::string& name,
+                              const std::string& type, const std::string& init,
+                              int line, int loop_depth) {
+    const bool known =
+        std::any_of(vars_.begin(), vars_.end(),
+                    [&](const VarInfo& v) { return v.name == name; });
+    if (known) return;
+    VarInfo v;
+    v.name = name;
+    v.type = type;
+    v.init = init;
+    v.decl_line = line;
+    v.decl_loop_depth = loop_depth;
+    vars_.push_back(std::move(v));
+  };
+  for (const Param& p : fn().params) {
     if (p.name.empty()) continue;
     VarInfo v;
     v.name = p.name;
     v.type = p.type;
-    v.decl_line = fn.line;
+    v.decl_line = fn().line;
     v.is_param = true;
     vars_.push_back(std::move(v));
   }
-  std::vector<BranchCtx> branches;
-  Walk(fn.body, 0, &branches);
-  ComputeDerived();
-  // Derived facts are only complete after the walk; stamp divergence onto
-  // the recorded branch contexts now. Status guards (`.ok()`) are treated
-  // as rank-uniform even when the value is rank-tainted: the taint flows
-  // through collective reads whose *content* differs per rank while the
-  // error outcome is uniform, and flagging every error-handling path
-  // would drown the genuinely divergent branches.
-  const auto divergent = [this](const BranchCtx& b) {
-    return b.cond.find(".ok()") == std::string::npos &&
-           IsRankDerived(b.cond);
-  };
-  for (BranchCtx& b : branch_conds_) {
-    b.rank_divergent = divergent(b);
-  }
-  for (FlowEvent& e : events_) {
-    for (BranchCtx& b : e.branches) {
-      b.rank_divergent = divergent(b);
-    }
-  }
-}
-
-void FunctionFlow::Walk(const std::vector<Stmt>& body, int loop_depth,
-                        std::vector<BranchCtx>* branches) {
-  for (const Stmt& s : body) {
-    stmts_.push_back(StmtCtx{&s, loop_depth});
-
+  for (const CfgStmt& at : cfg_.stmts()) {
+    const Stmt& s = *at.stmt;
     if (!s.decl_name.empty()) {
-      const bool known =
-          std::any_of(vars_.begin(), vars_.end(),
-                      [&](const VarInfo& v) { return v.name == s.decl_name; });
-      if (!known) {
-        VarInfo v;
-        v.name = s.decl_name;
-        v.type = s.decl_type;
-        v.init = s.init_text;
-        v.decl_line = s.line;
-        v.decl_loop_depth = loop_depth;
-        vars_.push_back(std::move(v));
-      }
+      declare(s.decl_name, s.decl_type, s.init_text, s.line, at.loop_depth);
     }
     for (const Assign& a : s.assigns) {
       for (VarInfo& v : vars_) {
         if (v.name != a.name) continue;
         // Only the part after the operator reaches the variable; for our
         // text-level queries the whole statement text is the usable rhs.
-        v.writes.push_back(VarWrite{a.line, s.text, loop_depth});
+        v.writes.push_back(VarWrite{a.line, s.text, at.loop_depth});
         break;
       }
     }
-
     for (const CallExpr& c : s.calls) {
-      FlowEvent e;
-      e.stmt = &s;
-      e.call = &c;
-      e.loop_depth = loop_depth;
-      e.branches = *branches;
-      e.order = order_++;
-      events_.push_back(std::move(e));
+      events_.push_back(
+          FlowEvent{&s, &c, at.guard, static_cast<int>(events_.size())});
     }
     if (s.kind == StmtKind::kReturn) {
-      FlowEvent e;
-      e.stmt = &s;
-      e.loop_depth = loop_depth;
-      e.branches = *branches;
-      e.order = order_++;
-      events_.push_back(std::move(e));
+      events_.push_back(
+          FlowEvent{&s, nullptr, at.guard, static_cast<int>(events_.size())});
     }
-
-    switch (s.kind) {
-      case StmtKind::kLoop: {
-        if (!s.induction_var.empty()) {
-          const bool known = std::any_of(
-              vars_.begin(), vars_.end(),
-              [&](const VarInfo& v) { return v.name == s.induction_var; });
-          if (!known) {
-            VarInfo v;
-            v.name = s.induction_var;
-            v.type = s.induction_type;
-            v.decl_line = s.line;
-            v.decl_loop_depth = loop_depth + 1;
-            vars_.push_back(std::move(v));
-          }
-        }
-        Walk(s.children, loop_depth + 1, branches);
-        break;
-      }
-      case StmtKind::kBranch: {
-        branch_conds_.push_back(BranchCtx{s.text, s.line, false});
-        branches->push_back(BranchCtx{s.text, s.line, false});
-        Walk(s.children, loop_depth, branches);
-        Walk(s.else_children, loop_depth, branches);
-        branches->pop_back();
-        break;
-      }
-      case StmtKind::kBlock:
-        Walk(s.children, loop_depth, branches);
-        break;
-      default:
-        break;
+    if (s.kind == StmtKind::kLoop && !s.induction_var.empty()) {
+      declare(s.induction_var, s.induction_type, "", s.line,
+              at.loop_depth + 1);
     }
   }
+  ComputeDerived();
 }
 
 void FunctionFlow::ComputeDerived() {
+  rank_vars_.clear();
+  wide_vars_.clear();
   // Fixpoint over short derivation chains (right = rank+1; partner =
   // right^1; ...). Bounded by the variable count.
   bool changed = true;
@@ -273,6 +215,20 @@ bool FunctionFlow::IsRankDerived(const std::string& expr) const {
   return MentionsRank(expr) || AnyVarWord(expr, rank_vars_);
 }
 
+bool FunctionFlow::IsDivergent(const Stmt& guard) const {
+  return guard.text.find(".ok()") == std::string::npos &&
+         IsRankDerived(guard.text);
+}
+
+const Stmt* FunctionFlow::DivergentGuard(const FlowEvent& e) const {
+  for (int g = e.guard; g != -1;) {
+    const CfgStmt& at = cfg_.stmts()[static_cast<std::size_t>(g)];
+    if (IsDivergent(*at.stmt)) return at.stmt;
+    g = at.guard;
+  }
+  return nullptr;
+}
+
 bool FunctionFlow::Is64BitSized(const std::string& expr) const {
   return MentionsWide(expr) || AnyVarWord(expr, wide_vars_);
 }
@@ -301,20 +257,23 @@ bool FunctionFlow::DependsOn(const std::string& expr,
 }
 
 bool FunctionFlow::HasIntMaxGuard() const {
-  return std::any_of(
-      branch_conds_.begin(), branch_conds_.end(),
-      [](const BranchCtx& b) { return IsIntMaxGuard(b.cond); });
+  return std::any_of(cfg_.stmts().begin(), cfg_.stmts().end(),
+                     [](const CfgStmt& at) {
+                       return at.stmt->kind == StmtKind::kBranch &&
+                              IsIntMaxGuard(at.stmt->text);
+                     });
 }
 
 std::vector<FunctionFlow::UseSite> FunctionFlow::UsesOf(
     const std::string& name) const {
   std::vector<UseSite> out;
-  for (const StmtCtx& c : stmts_) {
-    if (c.stmt->decl_name == name && !ContainsWord(c.stmt->init_text, name)) {
+  for (const CfgStmt& at : cfg_.stmts()) {
+    const Stmt& s = *at.stmt;
+    if (s.decl_name == name && !ContainsWord(s.init_text, name)) {
       continue;  // the declaration itself is not a use
     }
-    if (ContainsWord(c.stmt->text, name)) {
-      out.push_back(UseSite{c.stmt->line, c.loop_depth});
+    if (ContainsWord(s.text, name)) {
+      out.push_back(UseSite{s.line, at.loop_depth});
     }
   }
   return out;

@@ -1,15 +1,19 @@
-// Stage 3 of the pstk-lint pipeline: intra-procedural def-use analysis.
+// Stage 3 of the pstk-lint pipeline, second half: intra-procedural
+// def-use analysis over the function's lowering (cfg.h).
 //
-// For one Function (stage 2), builds:
+// From the lowering's source-order statement list, builds:
 //   * a variable table — parameters and local declarations with type,
 //     initializer text, declaring loop depth, and every reaching write
-//   * a linearized event stream — every call and return in statement
-//     order, each with its enclosing loop depth and branch-condition stack
+//   * an event stream — every call and return in statement order, each
+//     with its innermost enclosing if/switch (an index into the
+//     lowering, so the whole guard chain is a walk, not a copy)
 //   * derived value facts via fixpoint over initializers/writes:
 //       - rank-derived: the value depends on the caller's own MPI rank /
 //         SHMEM PE id (seeds: `rank`/`my_pe` words, `.rank()` calls)
 //       - 64-bit-sized: the value carries a 64-bit size/offset type
 //         (Bytes, size_t, int64_t, ...) or comes from `.size()`/`sizeof`
+// The derived facts are recomputed, without re-lowering, whenever the
+// interprocedural taint knowledge grows (callgraph.h).
 //
 // Rule passes (lint.cc) query these instead of re-deriving structure from
 // text, which is what kills the substring scanner's false positives.
@@ -18,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/cfg.h"
 #include "analysis/parse.h"
 
 namespace pstk::analysis {
@@ -53,36 +58,27 @@ struct VarInfo {
   std::vector<VarWrite> writes;
 };
 
-struct BranchCtx {
-  std::string cond;  // compact condition text
-  int line = 0;
-  bool rank_divergent = false;  // condition depends on rank / PE id
-};
-
 /// One call or return site in statement order.
 struct FlowEvent {
   const Stmt* stmt = nullptr;
   const CallExpr* call = nullptr;  // null for a return statement
-  int loop_depth = 0;
-  std::vector<BranchCtx> branches;  // innermost last
-  int order = 0;                    // linearized position in the function
-
-  [[nodiscard]] bool InRankDivergentBranch() const {
-    for (const BranchCtx& b : branches) {
-      if (b.rank_divergent) return true;
-    }
-    return false;
-  }
+  int guard = -1;  // innermost enclosing if/switch (CfgStmt::guard)
+  int order = 0;   // linearized position in the function
 };
 
 class FunctionFlow {
  public:
-  /// `knowledge`, when given, must outlive the flow; it widens the taint
-  /// seeds with rank-/wide-returning function names.
-  explicit FunctionFlow(const Function& fn,
-                        const TaintKnowledge* knowledge = nullptr);
+  /// Derive the flow of `cfg`'s function from its lowering. `knowledge`,
+  /// when given, must outlive the flow; it widens the taint seeds with
+  /// rank-/wide-returning function names.
+  explicit FunctionFlow(Cfg cfg, const TaintKnowledge* knowledge = nullptr);
 
-  [[nodiscard]] const Function& fn() const { return *fn_; }
+  [[nodiscard]] const Function& fn() const { return cfg_.fn(); }
+  [[nodiscard]] const Cfg& cfg() const { return cfg_; }
+
+  /// Recompute the rank-derived / 64-bit-sized facts against the current
+  /// contents of the taint knowledge (the constructor computes them once).
+  void ComputeDerived();
 
   /// Variable table lookup (params + locals); nullptr when unknown.
   [[nodiscard]] const VarInfo* Lookup(const std::string& name) const;
@@ -93,14 +89,22 @@ class FunctionFlow {
     return events_;
   }
 
-  /// Every branch condition in the function (if/switch), in order.
-  [[nodiscard]] const std::vector<BranchCtx>& branch_conds() const {
-    return branch_conds_;
-  }
-
   /// Expression mentions the caller's rank / PE id, directly (`rank`,
   /// `my_pe` words) or through a rank-derived variable.
   [[nodiscard]] bool IsRankDerived(const std::string& expr) const;
+
+  /// The condition of `guard` (an if/switch/loop header) splits the
+  /// ranks: it is rank-derived and is not a `.ok()` status guard. Status
+  /// guards are treated as rank-uniform even when the value is
+  /// rank-tainted: the taint flows through collective reads whose
+  /// *content* differs per rank while the error outcome is uniform, and
+  /// flagging every error-handling path would drown the genuinely
+  /// divergent branches.
+  [[nodiscard]] bool IsDivergent(const Stmt& guard) const;
+
+  /// Innermost if/switch enclosing `e` whose condition IsDivergent;
+  /// nullptr when none does.
+  [[nodiscard]] const Stmt* DivergentGuard(const FlowEvent& e) const;
 
   /// Expression carries a 64-bit size: references a 64-bit-typed variable,
   /// a `size()` call, or `sizeof`.
@@ -132,26 +136,15 @@ class FunctionFlow {
       const std::vector<std::string>& methods) const;
 
  private:
-  struct StmtCtx {
-    const Stmt* stmt;
-    int loop_depth;
-  };
-
-  void Walk(const std::vector<Stmt>& body, int loop_depth,
-            std::vector<BranchCtx>* branches);
-  void ComputeDerived();
   [[nodiscard]] bool MentionsRank(const std::string& text) const;
   [[nodiscard]] bool MentionsWide(const std::string& text) const;
 
-  const Function* fn_;
+  Cfg cfg_;
   const TaintKnowledge* know_ = nullptr;
   std::vector<VarInfo> vars_;
   std::vector<FlowEvent> events_;
-  std::vector<BranchCtx> branch_conds_;
-  std::vector<StmtCtx> stmts_;  // every statement, for use queries
   std::vector<std::string> rank_vars_;
   std::vector<std::string> wide_vars_;  // 64-bit-sized variables
-  int order_ = 0;
 };
 
 }  // namespace pstk::analysis

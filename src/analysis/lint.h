@@ -1,15 +1,17 @@
 // pstk-lint: dataflow-based static analysis of benchmark/example sources
 // for cross-paradigm misuse — the static twin of the runtime verifier
-// (src/verify). Sources run through a five-stage pipeline:
+// (src/verify). Sources run through a four-stage pipeline:
 //
 //   token.h    C++-subset tokenizer (comment/string-literal aware)
 //   parse.h    structural parser: functions, loops, branches, pragmas,
 //              calls with argument text, lambdas lifted as functions
-//   dataflow.h per-function def-use: variable table, reaching writes,
-//              rank-derived / 64-bit-size value facts, branch context
-//   cfg.h      per-function control-flow graph with symbolic branch
-//              conditions; bounded path enumeration feeds the
-//              path-sensitive divergence gate and the deadlock detector
+//   cfg.h +    the one per-function lowering: source-order statements
+//   dataflow.h with loop depth and if/switch guards, a control-flow
+//              graph with bounded path enumeration (feeds the
+//              path-sensitive divergence gate), and the FunctionFlow
+//              derived from it — variable table, reaching writes,
+//              call/return events, rank-derived / 64-bit-size value
+//              facts, the divergence predicate
 //   callgraph.h whole-program layer: call graph, taint-knowledge
 //              fixpoint, bottom-up function summaries (transitive
 //              collective/blocking/checkpoint facts, count/peer params,
