@@ -401,7 +401,9 @@ SparkContext::TaskSetOutcome SparkContext::RunTaskSet(
 
   sim::Scope stage_scope(ctx_, app_.obs_tags.stage);
   const std::uint64_t task_set = app_.next_task_set++;
-  app_.closures[task_set] = closure;
+  app_.closures[task_set] =
+      std::make_shared<const std::function<buf::Bytes(TaskRt&, int)>>(
+          closure);
 
   // A previous task set may have aborted (fetch failure) with tasks still
   // in flight; those executors dropped the stale work, so treat everyone
@@ -765,15 +767,16 @@ void MiniSpark::ExecutorMain(sim::Context& ctx, int executor_id) {
     PSTK_CHECK(msg->tag == kTagTask);
     const TaskHeader header = DecodeHeader(msg->payload);
 
-    auto closure = app_->closures.find(header.task_set);
-    if (closure == app_->closures.end()) continue;  // stale task
+    const auto found = app_->closures.find(header.task_set);
+    if (found == app_->closures.end()) continue;  // stale task
+    const auto closure = found->second;
 
     ctx.Compute(app_->options.executor_per_task);
     app_->obs->Add(app_->obs_tags.tasks);
     sim::Scope task_scope(ctx, app_->obs_tags.task);
     TaskRt rt(*app_, ctx, executor_id, node);
     try {
-      buf::Bytes result = closure->second(rt, header.partition);
+      buf::Bytes result = (*closure)(rt, header.partition);
       const Bytes modeled = app_->Modeled(result.size()) + kKiB;
       ep.SendAsync(ctx, app_->driver_endpoint, kTagTaskDone,
                    EncodeTaskDone(header.task_set, header.partition,

@@ -95,7 +95,12 @@ struct AppState {
   /// MiniSpark::Submit when SparkOptions::reacquire_executors is set.
   std::function<void(ExecutorInfo&)> respawn_executor;
   int driver_endpoint = 0;
-  std::map<std::uint64_t, std::function<buf::Bytes(TaskRt&, int)>> closures;
+  /// Task closure of each running task set. Shared: an executor holds its
+  /// own reference for the whole task, because the driver drops the entry
+  /// when the set ends while sibling tasks may still be suspended inside.
+  std::map<std::uint64_t,
+           std::shared_ptr<const std::function<buf::Bytes(TaskRt&, int)>>>
+      closures;
   std::uint64_t next_task_set = 1;
   int next_rdd_id = 0;
   int next_shuffle_id = 0;

@@ -366,6 +366,55 @@ TEST(SparkTest, ExecutorLossRecoversViaLineage) {
   EXPECT_GT((*outcome)->stats.fetch_failures, 0u);
 }
 
+TEST(SparkTest, FetchFailureLeavesSuspendedSiblingTaskIntact) {
+  // One task set, two kinds of task: partitions of `wide` read a shuffle
+  // whose single map output sits on one executor, partitions of `narrow`
+  // read a shuffle with a map output on every executor. After an executor
+  // dies, the first wave's `narrow` tasks fail their fetch at once and end
+  // the task set while its `wide` tasks are still suspended inside the
+  // Reduce closure, waiting for their fetch; they must resume into a live
+  // closure (their late results are then dropped as stale).
+  SparkFixture f(4);
+  std::optional<Result<AppResult>> outcome;
+  std::int64_t first = -1;
+  std::int64_t second = -1;
+  f.spark->Submit(
+      [&](SparkContext& sc) {
+        std::vector<std::pair<std::int64_t, std::int64_t>> wide_data;
+        std::vector<std::pair<std::int64_t, std::int64_t>> narrow_data;
+        for (std::int64_t i = 0; i < 60000; ++i) wide_data.emplace_back(i, 1);
+        for (std::int64_t i = 0; i < 4000; ++i) {
+          narrow_data.emplace_back(i % 64, 1);
+        }
+        const auto plus = [](std::int64_t a, std::int64_t b) { return a + b; };
+        auto wide = sc.Parallelize(std::move(wide_data), 1)
+                        .AsPairs<std::int64_t, std::int64_t>()
+                        .ReduceByKey(plus, 3)
+                        .Values();
+        auto narrow = sc.Parallelize(std::move(narrow_data), 8)
+                          .AsPairs<std::int64_t, std::int64_t>()
+                          .ReduceByKey(plus)
+                          .Values();
+        auto both = wide.Union(narrow);
+        auto r1 = both.Reduce(plus);
+        ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+        first = r1.value();
+        sc.ctx().SleepUntil(10.0);
+        f.spark->RemoveExecutor(7);
+        auto r2 = both.Reduce(plus);
+        ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+        second = r2.value();
+      },
+      [&](Result<AppResult> result) { outcome = std::move(result); });
+  auto run = f.engine.Run();
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_TRUE(outcome.has_value());
+  ASSERT_TRUE(outcome->ok()) << outcome->status().ToString();
+  EXPECT_EQ(first, 64000);
+  EXPECT_EQ(second, 64000);
+  EXPECT_GT((*outcome)->stats.fetch_failures, 0u);
+}
+
 TEST(SparkTest, AllExecutorsLostFailsApp) {
   SparkFixture f(2);
   std::optional<Result<AppResult>> outcome;
