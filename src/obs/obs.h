@@ -102,7 +102,6 @@ struct Event {
   TagId tag = kNoTag;
   TagId detail = kNoTag;
   Phase phase = Phase::kInstant;
-  bool user = false;  // recorded via Context::Trace (compat shim filter)
 };
 
 /// The per-engine instrumentation bus. Single-threaded by default; a
@@ -179,14 +178,14 @@ class Registry {
   // -- spans / instants (gated on enabled) -------------------------------
   void BeginSpan(std::int32_t node, std::uint32_t track, TagId tag,
                  SimTime t) {
-    if (enabled_) Push({t, node, track, tag, kNoTag, Phase::kBegin, false});
+    if (enabled_) Push({t, node, track, tag, kNoTag, Phase::kBegin});
   }
   void EndSpan(std::int32_t node, std::uint32_t track, TagId tag, SimTime t) {
-    if (enabled_) Push({t, node, track, tag, kNoTag, Phase::kEnd, false});
+    if (enabled_) Push({t, node, track, tag, kNoTag, Phase::kEnd});
   }
   void Instant(std::int32_t node, std::uint32_t track, TagId tag, SimTime t,
-               TagId detail = kNoTag, bool user = false) {
-    if (enabled_) Push({t, node, track, tag, detail, Phase::kInstant, user});
+               TagId detail = kNoTag) {
+    if (enabled_) Push({t, node, track, tag, detail, Phase::kInstant});
   }
 
   /// Name a (node, track) pair for the trace viewer (thread_name metadata).

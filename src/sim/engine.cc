@@ -218,8 +218,7 @@ void Context::Trace(std::string_view tag, std::string_view detail) {
   obs::Registry& reg = engine_.obs_;
   if (!reg.enabled()) return;
   reg.Instant(node(), pid_, reg.Intern(tag), now(),
-              detail.empty() ? obs::kNoTag : reg.Intern(detail),
-              /*user=*/true);
+              detail.empty() ? obs::kNoTag : reg.Intern(detail));
 }
 
 // ---------------------------------------------------------------------------
@@ -314,24 +313,6 @@ void Engine::EnableTrace(bool on) {
       obs_.SetTrackName(procs_[pid]->node, pid, procs_[pid]->name);
     }
   }
-}
-
-const std::vector<TraceEvent>& Engine::trace() const {
-  const std::vector<obs::Event>& events = obs_.events();
-  if (events.size() < trace_seen_) {
-    // The registry shrank (e.g. re-enabled tracing): rebuild from scratch.
-    trace_compat_.clear();
-    trace_seen_ = 0;
-  }
-  for (std::size_t i = trace_seen_; i < events.size(); ++i) {
-    const obs::Event& e = events[i];
-    if (!e.user) continue;
-    trace_compat_.push_back(TraceEvent{
-        e.time, e.track, obs_.Name(e.tag),
-        e.detail == obs::kNoTag ? std::string() : obs_.Name(e.detail)});
-  }
-  trace_seen_ = events.size();
-  return trace_compat_;
 }
 
 Engine::~Engine() { JoinAll(); }

@@ -59,9 +59,7 @@
 // Instrumentation goes through the engine's obs::Registry (`engine.obs()`):
 // dispatch/block/kill activity is published there, higher layers intern
 // their own tags against the same registry, and EnableTrace() switches the
-// whole bus on. The legacy TraceEvent vector survives as a compat shim that
-// re-materializes user Trace() calls from the typed event stream (cached;
-// rebuilt incrementally as new events arrive).
+// whole bus on.
 #pragma once
 
 #include <condition_variable>
@@ -131,16 +129,6 @@ struct RunResult {
   SimTime end_time = 0;   // virtual time frontier at completion
   std::size_t completed = 0;
   std::size_t killed = 0;
-};
-
-/// Legacy trace record, kept for tests that predate the obs bus. Rebuilt
-/// on demand from the typed event stream; new code should read
-/// Engine::obs() directly.
-struct TraceEvent {
-  SimTime time;
-  Pid pid;
-  std::string tag;
-  std::string detail;
 };
 
 /// Handle passed to every process body; all simulation services hang off it.
@@ -353,9 +341,6 @@ class Engine {
 
   /// Turn the instrumentation bus on (spans, histograms, user traces).
   void EnableTrace(bool on);
-  /// Compat shim: user Trace() calls as the legacy string records. Cached;
-  /// only events recorded since the previous call are converted.
-  [[nodiscard]] const std::vector<TraceEvent>& trace() const;
 
   /// Blocked-process snapshot, for deadlock diagnostics.
   [[nodiscard]] std::string DescribeBlocked() const;
@@ -526,8 +511,6 @@ class Engine {
     obs::TagId spills = obs::kNoTag;   // counter: ring-full overflows
   };
   ShardTags shard_tags_;
-  mutable std::vector<TraceEvent> trace_compat_;
-  mutable std::size_t trace_seen_ = 0;  // obs events already converted
 };
 
 /// Condition-variable analogue in virtual time: processes Wait; another
