@@ -1,5 +1,6 @@
 #include "analysis/loc.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -60,9 +61,29 @@ Result<LocReport> AnalyzeFile(const std::string& label,
   return AnalyzeSource(label, ExtractBenchmarkRegion(buffer.str()), markers);
 }
 
+namespace {
+
+/// Offset of the first `marker` that starts a line (after indentation);
+/// npos when there is none. A marker quoted mid-line, e.g. in a string
+/// literal, does not delimit anything.
+std::size_t FindMarkerLine(const std::string& source,
+                           const std::string& marker) {
+  for (std::size_t line = 0; line < source.size();) {
+    const std::size_t eol = std::min(source.find('\n', line), source.size());
+    const std::size_t text = source.find_first_not_of(" \t", line);
+    if (text < eol && source.compare(text, marker.size(), marker) == 0) {
+      return text;
+    }
+    line = eol + 1;
+  }
+  return std::string::npos;
+}
+
+}  // namespace
+
 std::string ExtractBenchmarkRegion(const std::string& source) {
-  const auto begin = source.find("// BENCHMARK-BEGIN");
-  const auto end = source.find("// BENCHMARK-END");
+  const auto begin = FindMarkerLine(source, "// BENCHMARK-BEGIN");
+  const auto end = FindMarkerLine(source, "// BENCHMARK-END");
   if (begin == std::string::npos || end == std::string::npos || end <= begin) {
     return source;
   }

@@ -36,8 +36,8 @@ Result<LocReport> AnalyzeFile(const std::string& label,
                               const std::vector<std::string>& markers);
 
 /// Extract the region between "// BENCHMARK-BEGIN" and "// BENCHMARK-END"
-/// markers (so shared scaffolding in example files is excluded); returns
-/// the whole source if the markers are absent.
+/// markers, each starting its own line (so shared scaffolding in example
+/// files is excluded); returns the whole source if the markers are absent.
 std::string ExtractBenchmarkRegion(const std::string& source);
 
 }  // namespace pstk::analysis
