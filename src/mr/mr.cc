@@ -124,6 +124,28 @@ struct MrEngine::Job {
     std::vector<buf::Bytes> partitions;  // one per reducer
   };
   std::map<int, MapOutput> map_outputs;
+  // Nodes holding map outputs -> how many each holds. The sweep walks
+  // done_maps only while one of them is failed.
+  std::map<int, int> output_nodes;
+  // A stale MapDone marked a map done after a FetchFail erased its output.
+  bool done_without_output = false;
+
+  void StoreOutput(int map_id, MapOutput output) {
+    ++output_nodes[output.node];
+    auto [it, inserted] = map_outputs.try_emplace(map_id);
+    if (!inserted) ForgetNode(it->second.node);
+    it->second = std::move(output);
+  }
+  void EraseOutput(int map_id) {
+    auto it = map_outputs.find(map_id);
+    if (it == map_outputs.end()) return;
+    ForgetNode(it->second.node);
+    map_outputs.erase(it);
+  }
+  void ForgetNode(int node) {
+    auto it = output_nodes.find(node);
+    if (--it->second == 0) output_nodes.erase(it);
+  }
 
   Counters counters;
   SimTime submit_time = 0;
@@ -298,7 +320,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
   while (job.done_reduces.size() < total_reduces) {
     auto msg = ep.RecvWithTimeout(ctx, ctx.now() + options_.heartbeat);
     if (!msg.has_value()) {
-      SweepDeadWorkers(ctx, job);
+      SweepDeadWorkers(job);
       if (NoLiveWorkers(job)) {
         job.finished = true;
         job.on_done(Unavailable("all MapReduce workers lost"));
@@ -343,6 +365,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
         const int map_id = static_cast<int>(r.ReadRaw<std::int32_t>().value());
         job.running_maps.erase(map_id);
         job.done_maps.insert(map_id);
+        if (job.map_outputs.count(map_id) == 0) job.done_without_output = true;
         ++job.counters.map_tasks;
         break;
       }
@@ -365,7 +388,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
         for (std::uint64_t i = 0; i < missing.value(); ++i) {
           const int map_id = static_cast<int>(r.ReadRaw<std::int32_t>().value());
           if (job.done_maps.erase(map_id) > 0) {
-            job.map_outputs.erase(map_id);
+            job.EraseOutput(map_id);
             job.pending_maps.push_back(map_id);
             ++job.counters.task_retries;
             cluster_.engine().obs().Add(tags_.recovery_task_retries);
@@ -386,7 +409,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
       default:
         PSTK_CHECK_MSG(false, "unexpected MR message tag " << msg->tag);
     }
-    SweepDeadWorkers(ctx, job);
+    SweepDeadWorkers(job);
   }
 
   // Shut the workers down.
@@ -411,7 +434,7 @@ void MrEngine::CoordinatorMain(sim::Context& ctx, Job& job) {
   job.on_done(result);
 }
 
-void MrEngine::SweepDeadWorkers(sim::Context& ctx, Job& job) {
+void MrEngine::SweepDeadWorkers(Job& job) {
   auto requeue_if_dead = [&](std::map<int, int>& running,
                              std::deque<int>& pending) {
     for (auto it = running.begin(); it != running.end();) {
@@ -429,14 +452,26 @@ void MrEngine::SweepDeadWorkers(sim::Context& ctx, Job& job) {
   requeue_if_dead(job.running_reduces, job.pending_reduces);
 
   // Completed map outputs that lived on a now-failed node are lost; re-run
-  // them unless the whole job is already past reduces needing them.
+  // them unless the whole job is already past reduces needing them. A done
+  // map can only be lost while a node holding outputs is failed (re-checked
+  // every sweep: RestoreNode brings nodes back) or after a stale MapDone,
+  // so the walk is skipped otherwise.
+  if (job.done_reduces.size() >=
+      static_cast<std::size_t>(job.conf.num_reducers)) {
+    return;
+  }
+  const bool node_lost =
+      std::any_of(job.output_nodes.begin(), job.output_nodes.end(),
+                  [this](const auto& entry) {
+                    return cluster_.NodeFailed(entry.first);
+                  });
+  if (!node_lost && !job.done_without_output) return;
+  job.done_without_output = false;
   for (auto it = job.done_maps.begin(); it != job.done_maps.end();) {
     auto out = job.map_outputs.find(*it);
-    const bool lost =
-        out == job.map_outputs.end() || cluster_.NodeFailed(out->second.node);
-    if (lost && job.done_reduces.size() <
-                    static_cast<std::size_t>(job.conf.num_reducers)) {
-      job.map_outputs.erase(*it);
+    if (out == job.map_outputs.end() ||
+        cluster_.NodeFailed(out->second.node)) {
+      job.EraseOutput(*it);
       job.pending_maps.push_back(*it);
       ++job.counters.task_retries;
       cluster_.engine().obs().Add(tags_.recovery_task_retries);
@@ -445,7 +480,6 @@ void MrEngine::SweepDeadWorkers(sim::Context& ctx, Job& job) {
       ++it;
     }
   }
-  (void)ctx;
 }
 
 bool MrEngine::NoLiveWorkers(const Job& job) {
@@ -601,7 +635,7 @@ void MrEngine::RunMapTask(sim::Context& ctx, Job& job, int worker_id,
     ctx.SleepUntil(disk_done);
     job.counters.spilled_bytes += modeled_spill;
   }
-  job.map_outputs[map_id] = std::move(output);
+  job.StoreOutput(map_id, std::move(output));
 
   serde::Writer done;
   done.WriteRaw<std::int32_t>(map_id);

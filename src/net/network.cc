@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 namespace pstk::net {
@@ -42,10 +43,16 @@ bool Network::HasEndpoint(int id) const {
 }
 
 std::vector<Endpoint::PendingInfo> Endpoint::Pending() const {
+  // The inbox is in arrival order; report in send order.
+  std::vector<const Message*> by_seq;
+  by_seq.reserve(inbox_.size());
+  for (const Message& m : inbox_) by_seq.push_back(&m);
+  std::sort(by_seq.begin(), by_seq.end(),
+            [](const Message* a, const Message* b) { return a->seq < b->seq; });
   std::vector<PendingInfo> pending;
-  pending.reserve(inbox_.size());
-  for (const Message& m : inbox_) {
-    pending.push_back(PendingInfo{m.src, m.tag, m.size});
+  pending.reserve(by_seq.size());
+  for (const Message* m : by_seq) {
+    pending.push_back(PendingInfo{m->src, m->tag, m->size});
   }
   return pending;
 }
@@ -113,25 +120,57 @@ void Endpoint::SendAsync(sim::Context& ctx, int dst, int tag,
 
 void Endpoint::Deposit(Message message) {
   const SimTime arrival = message.arrival;
-  inbox_.push_back(std::move(message));
+  // Keep the inbox sorted by (arrival, seq). Arrivals are almost always in
+  // order, so the insertion point is found walking back from the end. The
+  // tail is shifted back by hand: deque::insert would push_front for points
+  // in the front half, which raises peak RSS.
+  auto pos = inbox_.end();
+  while (pos != inbox_.begin()) {
+    const Message& prev = *std::prev(pos);
+    if (prev.arrival < arrival ||
+        (prev.arrival == arrival && prev.seq < message.seq)) {
+      break;
+    }
+    --pos;
+  }
+  if (pos == inbox_.end()) {
+    inbox_.push_back(std::move(message));
+  } else {
+    const auto at = pos - inbox_.begin();
+    inbox_.push_back(std::move(inbox_.back()));
+    pos = inbox_.begin() + at;  // push_back invalidated the iterator
+    std::move_backward(pos, inbox_.end() - 2, inbox_.end() - 1);
+    *pos = std::move(message);
+  }
   if (waiter_ != sim::kNoPid) {
     network_.engine_.Wake(waiter_, arrival);
   }
 }
 
 std::size_t Endpoint::FindMatch(int src, int tag) const {
-  // Earliest-arrival matching message; seq breaks ties (FIFO per pair).
-  std::size_t best = kNoMatch;
+  // The inbox is in (arrival, seq) order, so the first match is the
+  // earliest-arrival one, FIFO per pair.
   for (std::size_t i = 0; i < inbox_.size(); ++i) {
     const Message& m = inbox_[i];
-    if (src != kAnySource && m.src != src) continue;
-    if (tag != kAnyTag && m.tag != tag) continue;
-    if (best == kNoMatch || m.arrival < inbox_[best].arrival ||
-        (m.arrival == inbox_[best].arrival && m.seq < inbox_[best].seq)) {
-      best = i;
+    if ((src == kAnySource || m.src == src) &&
+        (tag == kAnyTag || m.tag == tag)) {
+      return i;
     }
   }
-  return best;
+  return kNoMatch;
+}
+
+Message Endpoint::Take(sim::Context& ctx, std::size_t idx) {
+  Message message = std::move(inbox_[idx]);
+  inbox_.erase(inbox_.begin() + static_cast<std::ptrdiff_t>(idx));
+  // Receiver pays its protocol stack cost on consumption.
+  const TransportParams& tp = network_.fabric().default_transport();
+  ctx.Compute(tp.per_message_cpu +
+              static_cast<double>(message.size) * tp.per_byte_cpu);
+  if (message.wants_completion_wake && message.sender_pid != sim::kNoPid) {
+    network_.engine_.Wake(message.sender_pid, ctx.now());
+  }
+  return message;
 }
 
 void Endpoint::Reap() {
@@ -151,19 +190,7 @@ Message Endpoint::Recv(sim::Context& ctx, int src, int tag) {
     const std::size_t idx = FindMatch(src, tag);
     if (idx != kNoMatch) {
       const SimTime arrival = inbox_[idx].arrival;
-      if (arrival <= ctx.now()) {
-        Message message = std::move(inbox_[idx]);
-        inbox_.erase(inbox_.begin() + static_cast<std::ptrdiff_t>(idx));
-        // Receiver pays its protocol stack cost on consumption.
-        const TransportParams& tp = network_.fabric().default_transport();
-        ctx.Compute(tp.per_message_cpu +
-                    static_cast<double>(message.size) * tp.per_byte_cpu);
-        if (message.wants_completion_wake &&
-            message.sender_pid != sim::kNoPid) {
-          network_.engine_.Wake(message.sender_pid, ctx.now());
-        }
-        return message;
-      }
+      if (arrival <= ctx.now()) return Take(ctx, idx);
       // A matching message exists but hasn't arrived in our virtual time
       // yet: sleep until its arrival, wakeable earlier by new deposits.
       waiter_ = ctx.pid();
@@ -194,9 +221,11 @@ std::optional<Message> Endpoint::RecvWithTimeout(sim::Context& ctx,
                  "endpoint " << id_ << " already has a receiver parked");
   user_pid_ = ctx.pid();
   for (;;) {
-    if (auto message = TryRecv(ctx, src, tag)) return message;
-    if (ctx.now() >= deadline) return std::nullopt;
     const std::size_t idx = FindMatch(src, tag);
+    if (idx != kNoMatch && inbox_[idx].arrival <= ctx.now()) {
+      return Take(ctx, idx);
+    }
+    if (ctx.now() >= deadline) return std::nullopt;
     const SimTime until = idx == kNoMatch
                               ? deadline
                               : std::min(deadline, inbox_[idx].arrival);
@@ -210,15 +239,7 @@ std::optional<Message> Endpoint::TryRecv(sim::Context& ctx, int src, int tag) {
   user_pid_ = ctx.pid();
   const std::size_t idx = FindMatch(src, tag);
   if (idx == kNoMatch || inbox_[idx].arrival > ctx.now()) return std::nullopt;
-  Message message = std::move(inbox_[idx]);
-  inbox_.erase(inbox_.begin() + static_cast<std::ptrdiff_t>(idx));
-  const TransportParams& tp = network_.fabric().default_transport();
-  ctx.Compute(tp.per_message_cpu +
-              static_cast<double>(message.size) * tp.per_byte_cpu);
-  if (message.wants_completion_wake && message.sender_pid != sim::kNoPid) {
-    network_.engine_.Wake(message.sender_pid, ctx.now());
-  }
-  return message;
+  return Take(ctx, idx);
 }
 
 bool Endpoint::Probe(sim::Context& ctx, int src, int tag) const {

@@ -116,11 +116,13 @@ class Endpoint {
 
   void Deposit(Message message);
   [[nodiscard]] std::size_t FindMatch(int src, int tag) const;
+  /// Remove inbox_[idx] and charge the receiver's consumption cost.
+  Message Take(sim::Context& ctx, std::size_t idx);
 
   Network& network_;
   int id_;
   int node_;
-  std::deque<Message> inbox_;
+  std::deque<Message> inbox_;  // sorted by (arrival, seq)
   sim::Pid waiter_ = sim::kNoPid;  // process parked in Recv, if any
   sim::Pid user_pid_ = sim::kNoPid;  // last process to use this endpoint
 };

@@ -6,6 +6,7 @@
 // pair/tuple/vector/string composition of supported types.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -33,6 +34,13 @@ class Writer {
   void Reserve(std::size_t total) { buffer_.reserve(total); }
 
   void WriteBytes(const void* data, std::size_t size) {
+    if (size == 0) return;
+    // Grow here, with vector's own doubling, so that the insert never
+    // reallocates: GCC 12 (-fsanitize=undefined) reports a false
+    // -Wstringop-overflow on insert's reallocating path.
+    if (buffer_.capacity() - buffer_.size() < size) {
+      buffer_.reserve(buffer_.size() + std::max(buffer_.size(), size));
+    }
     const auto* p = static_cast<const std::uint8_t*>(data);
     buffer_.insert(buffer_.end(), p, p + size);
   }

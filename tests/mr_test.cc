@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -222,6 +223,87 @@ TEST(MrTest, NodeFailureMidJobRecovers) {
   std::int64_t total = 0;
   for (const auto& [word, count] : counts) total += count;
   EXPECT_EQ(total, 8000);  // 2 words x 4000 lines, nothing lost
+}
+
+// Word count with one reducer on 4 nodes x 8 slots; node 2 (which hosts
+// map outputs but not the coordinator) fails at `fail_at` (< 0: never) and
+// comes back at `restore_at` (> 0 only).
+struct LateFailure {
+  Counters counters;
+  std::size_t splits = 0;
+  std::int64_t words = 0;
+  std::size_t distinct = 0;
+};
+LateFailure RunWithLateFailure(SimTime fail_at, SimTime restore_at) {
+  MrFixture f(4);
+  {
+    MrOptions options;
+    options.jvm_startup_per_task = Seconds(1.0);
+    options.job_setup = Millis(100);
+    f.mr = std::make_unique<MrEngine>(*f.cluster, *f.dfs, options);
+  }
+  EXPECT_TRUE(f.dfs->Install("/in/late.txt", WordCorpus(6000)).ok());
+  LateFailure out;
+  out.splits = f.dfs->BlockLocations("/in/late.txt").value().size();
+
+  JobConf conf;
+  conf.input_path = "/in/late.txt";
+  conf.output_path = "/out/late";
+  conf.num_reducers = 1;
+  std::optional<Result<JobResult>> outcome;
+  f.mr->Submit(conf, WordCountMap(), WordCountReduce(), std::nullopt,
+               [&](Result<JobResult> r) { outcome = std::move(r); });
+  constexpr int kVictim = 2;
+  if (fail_at >= 0) f.cluster->FailNode(kVictim, fail_at);
+  if (restore_at > 0) f.cluster->RestoreNode(kVictim, restore_at);
+  auto run = f.engine.Run();
+  EXPECT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_TRUE(outcome.has_value() && outcome->ok());
+  if (!outcome.has_value() || !outcome->ok()) return out;
+  out.counters = (*outcome)->counters;
+  auto counts = ParseOutput(f, "/out/late", 1);
+  for (const auto& [word, count] : counts) out.words += count;
+  out.distinct = counts.size();
+  return out;
+}
+
+TEST(MrTest, NodeFailureAfterMapsRerunsLostOutputs) {
+  // Failure-free: 36 splits, every map runs once. 32 slots run the first
+  // wave (8 maps per node), the last map finishes by t=2.2, and the single
+  // reducer is in its JVM launch until ~t=3.1; the failure lands there.
+  const LateFailure clean = RunWithLateFailure(/*fail_at=*/-1, 0);
+  ASSERT_EQ(clean.splits, 36u);
+  EXPECT_EQ(clean.counters.map_tasks, clean.splits);
+  EXPECT_EQ(clean.counters.task_retries, 0u);
+  EXPECT_EQ(clean.words, 12000);
+
+  const LateFailure failed = RunWithLateFailure(/*fail_at=*/2.6, 0);
+  EXPECT_EQ(failed.words, 12000);  // 2 words x 6000 lines, nothing lost
+  EXPECT_EQ(failed.distinct, 5u);
+  EXPECT_EQ(failed.counters.reduce_tasks, 1u);
+  // The 8 maps whose outputs lived on the failed node ran twice; the
+  // reducer's fetch failed once on the missing outputs.
+  EXPECT_EQ(failed.counters.map_tasks, 44u);
+  EXPECT_EQ(failed.counters.task_retries, 9u);
+}
+
+TEST(MrTest, RestoredNodeDoesNotResurrectErasedOutputs) {
+  // The node is back before the reducer fetches, but the coordinator
+  // already erased its outputs: those maps are still re-run, exactly as
+  // when the node stays down.
+  const LateFailure restored =
+      RunWithLateFailure(/*fail_at=*/2.6, /*restore_at=*/2.9);
+  EXPECT_EQ(restored.words, 12000);
+  EXPECT_EQ(restored.distinct, 5u);
+  EXPECT_EQ(restored.counters.map_tasks, 44u);
+  EXPECT_EQ(restored.counters.task_retries, 9u);
+
+  // Back before any coordinator sweep saw it down: nothing was lost.
+  const LateFailure blip =
+      RunWithLateFailure(/*fail_at=*/2.6, /*restore_at=*/2.65);
+  EXPECT_EQ(blip.words, 12000);
+  EXPECT_EQ(blip.counters.map_tasks, 36u);
+  EXPECT_EQ(blip.counters.task_retries, 0u);
 }
 
 TEST(MrTest, JvmStartupDominatesSmallJobs) {

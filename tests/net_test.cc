@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -277,6 +279,184 @@ TEST(NetworkTest, ManyMessagesFifoPerPair) {
   ASSERT_TRUE(f.engine.Run().status.ok());
   ASSERT_EQ(order.size(), static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) EXPECT_EQ(order[i], std::to_string(i));
+}
+
+// Two processes share sender endpoint 0 on the receiver's node (no NIC
+// queue, so no FIFO): the first sends at t=5, the second at t=0. The second
+// message is sent later (higher seq) but arrives earlier.
+void SendOutOfOrder(NetFixture& f) {
+  auto& a = f.network.CreateEndpoint(0, 0);
+  f.network.CreateEndpoint(1, 0);
+  f.engine.Spawn("late", [&](sim::Context& ctx) {
+    ctx.Compute(5.0);  // never yields: this send is deposited first
+    a.SendAsync(ctx, 1, /*tag=*/3, Payload("sent-first"));
+  });
+  f.engine.Spawn("early", [&](sim::Context& ctx) {
+    a.SendAsync(ctx, 1, /*tag=*/3, Payload("sent-second"), /*modeled=*/64);
+  });
+}
+
+TEST(NetworkTest, SpecificRecvTakesEarliestArrivalNotEarliestSend) {
+  NetFixture f;
+  SendOutOfOrder(f);
+  std::vector<std::string> order;
+  std::vector<std::uint64_t> seqs;
+  f.engine.Spawn("receiver", [&](sim::Context& ctx) {
+    ctx.SleepUntil(10.0);  // both arrived
+    auto& b = f.network.endpoint(1);
+    for (int i = 0; i < 2; ++i) {
+      Message m = b.Recv(ctx, /*src=*/0, /*tag=*/3);
+      order.push_back(AsString(m.payload));
+      seqs.push_back(m.seq);
+    }
+  });
+  ASSERT_TRUE(f.engine.Run().status.ok());
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], "sent-second");
+  EXPECT_EQ(order[1], "sent-first");
+  EXPECT_GT(seqs[0], seqs[1]);
+}
+
+TEST(NetworkTest, PendingListsSendOrderAfterOutOfOrderArrivals) {
+  NetFixture f;
+  SendOutOfOrder(f);
+  ASSERT_TRUE(f.engine.Run().status.ok());
+  const auto pending = f.network.endpoint(1).Pending();
+  ASSERT_EQ(pending.size(), 2u);
+  EXPECT_EQ(pending[0].bytes, std::string("sent-first").size());
+  EXPECT_EQ(pending[1].bytes, 64u);
+}
+
+// Differential check of the matching order: random traffic from several
+// processes (sharing sender endpoints, mixed sizes, intra- and inter-node)
+// is drained by random wildcard / by-source / by-tag / exact receives, and
+// every delivery must equal what a brute-force earliest-(arrival, seq)
+// scan over the same messages picks.
+TEST(NetworkTest, MatchingOrderEqualsBruteForceReference) {
+  constexpr int kSenders = 4;       // endpoints 0..3, one per node
+  constexpr int kProcesses = 7;     // processes share sender endpoints
+  constexpr int kSendsPerProcess = 50;
+  constexpr int kTags = 3;
+  constexpr int kReceiver = kSenders;
+  for (std::uint64_t seed : {1u, 7u, 2016u}) {
+    NetFixture f;
+    for (int e = 0; e < kSenders; ++e) f.network.CreateEndpoint(e, e);
+    auto& rx = f.network.CreateEndpoint(kReceiver, 0);
+
+    struct Sent {
+      int src;
+      int tag;
+    };
+    std::vector<Sent> sent;  // by message id (payload)
+    for (int p = 0; p < kProcesses; ++p) {
+      f.engine.Spawn("sender" + std::to_string(p), [&, p](sim::Context& ctx) {
+        std::mt19937_64 rng(seed * 131 + static_cast<std::uint64_t>(p));
+        auto& ep = f.network.endpoint(p % kSenders);
+        const Bytes sizes[] = {8, 8, kKiB, 64 * kKiB, 4 * kMiB};
+        for (int i = 0; i < kSendsPerProcess; ++i) {
+          switch (rng() % 4) {
+            case 0: break;  // back-to-back: equal-arrival ties
+            case 1: ctx.Compute(Micros(static_cast<double>(rng() % 50))); break;
+            case 2: ctx.Yield(); break;
+            case 3: ctx.SleepFor(Micros(static_cast<double>(rng() % 50))); break;
+          }
+          const int tag = static_cast<int>(rng() % kTags);
+          const int id = static_cast<int>(sent.size());
+          sent.push_back(Sent{ep.id(), tag});
+          ep.SendAsync(ctx, kReceiver, tag, Payload(std::to_string(id)),
+                       sizes[rng() % std::size(sizes)]);
+        }
+      });
+    }
+
+    struct Request {
+      int src;
+      int tag;
+    };
+    std::vector<Request> requests;
+    std::vector<Message> delivered;
+    f.engine.Spawn("receiver", [&](sim::Context& ctx) {
+      ctx.SleepUntil(100.0);  // every message has arrived
+      std::mt19937_64 rng(seed);
+      // Remaining count per (src, tag), so every request has a match.
+      std::vector<std::vector<int>> left(kSenders, std::vector<int>(kTags));
+      for (const Sent& s : sent) ++left[s.src][s.tag];
+      for (std::size_t n = 0; n < sent.size(); ++n) {
+        Request req{kAnySource, kAnyTag};
+        for (;;) {
+          const int src = static_cast<int>(rng() % kSenders);
+          const int tag = static_cast<int>(rng() % kTags);
+          switch (rng() % 4) {
+            case 0: req = {kAnySource, kAnyTag}; break;
+            case 1: req = {src, kAnyTag}; break;
+            case 2: req = {kAnySource, tag}; break;
+            case 3: req = {src, tag}; break;
+          }
+          int matches = 0;
+          for (int s = 0; s < kSenders; ++s) {
+            for (int t = 0; t < kTags; ++t) {
+              if ((req.src == kAnySource || req.src == s) &&
+                  (req.tag == kAnyTag || req.tag == t)) {
+                matches += left[s][t];
+              }
+            }
+          }
+          if (matches > 0) break;
+        }
+        Message m;
+        switch (n % 3) {
+          case 0: m = rx.Recv(ctx, req.src, req.tag); break;
+          case 1: m = *rx.TryRecv(ctx, req.src, req.tag); break;
+          case 2:
+            m = *rx.RecvWithTimeout(ctx, ctx.now() + 1.0, req.src, req.tag);
+            break;
+        }
+        --left[m.src][m.tag];
+        requests.push_back(req);
+        delivered.push_back(std::move(m));
+      }
+    });
+    ASSERT_TRUE(f.engine.Run().status.ok());
+    ASSERT_EQ(delivered.size(), sent.size());
+    EXPECT_EQ(rx.inbox_size(), 0u);
+
+    // Reference: the full inbox as it stood when draining began, matched by
+    // a linear earliest-(arrival, seq) scan.
+    std::vector<const Message*> inbox;
+    for (const Message& m : delivered) inbox.push_back(&m);
+    for (std::size_t n = 0; n < requests.size(); ++n) {
+      const Request& req = requests[n];
+      std::size_t best = inbox.size();
+      for (std::size_t i = 0; i < inbox.size(); ++i) {
+        const Message& m = *inbox[i];
+        if (req.src != kAnySource && m.src != req.src) continue;
+        if (req.tag != kAnyTag && m.tag != req.tag) continue;
+        if (best == inbox.size() || m.arrival < inbox[best]->arrival ||
+            (m.arrival == inbox[best]->arrival && m.seq < inbox[best]->seq)) {
+          best = i;
+        }
+      }
+      ASSERT_LT(best, inbox.size()) << "seed " << seed << " receive " << n;
+      ASSERT_EQ(inbox[best], &delivered[n])
+          << "seed " << seed << " receive " << n << " got seq "
+          << delivered[n].seq << ", reference seq " << inbox[best]->seq;
+      inbox.erase(inbox.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+    // The traffic really was out of order: some later send arrived first.
+    bool inverted = false;
+    for (const Message& a : delivered) {
+      for (const Message& b : delivered) {
+        inverted = inverted || (a.seq < b.seq && a.arrival > b.arrival);
+      }
+    }
+    EXPECT_TRUE(inverted) << "seed " << seed;
+    // Each payload id names the (src, tag) it was sent with.
+    for (const Message& m : delivered) {
+      const auto id = static_cast<std::size_t>(std::stoi(AsString(m.payload)));
+      EXPECT_EQ(sent[id].src, m.src);
+      EXPECT_EQ(sent[id].tag, m.tag);
+    }
+  }
 }
 
 }  // namespace
